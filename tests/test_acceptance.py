@@ -245,3 +245,32 @@ def test_11d_classical_limit(x):
         z = (1 - params.q_mp()) * xv / 2
         got = jnu3(params, z, ctx, base=params.q).value
         assert abs(got - mp.besselj(0, xv)) < mpf(10) ** -2
+
+
+# --- criterion 12: the flagship report is pinned ----------------------------
+
+# status, threshold and (for value-type margins) the margin to 30 digits of
+# `qfb verify --q 0.5 --nu 0 --kmax 12 --digits 120`
+FLAGSHIP = {
+    "signs": ("pass", 2, None),
+    "sign-constancy": ("pass", None, None),
+    "shifted-zeros": ("pass", 1, "2.12068382213304795124545418301e-87"),
+    "derivative-decay": ("pass", None, "1.39163428216202527221755121965"),
+    "shifted-value-bound": ("pass", None, "0.456075761427427692278077994844"),
+    "eta-decay": ("pass", 12, "2.0"),
+    "gram": ("pass", None, None),
+    "riemann-lebesgue": ("pass", None, "1.10560671921739234242313273422"),
+    "consistency": ("pass", None, None),
+}
+
+
+def test_12_flagship_report_pinned(reports):
+    checks = reports("0.5", "0")
+    assert sorted(checks) == sorted(FLAGSHIP)
+    for cid, (status, threshold, margin) in FLAGSHIP.items():
+        r = checks[cid]
+        assert (r.status, r.threshold) == (status, threshold), cid
+        if margin is not None:
+            with mp.workdps(40):
+                want = mpf(margin)
+                assert abs(r.margin - want) <= abs(want) * mpf(10) ** -29, cid

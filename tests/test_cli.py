@@ -1,12 +1,15 @@
 """CLI behavior: formats, exit codes, determinism, environment handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
 from qfb import LatticeFunction
 from qfb.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(argv, capsys):
@@ -183,6 +186,21 @@ class TestExpand:
         lines = plot.read_bytes().decode("utf-8").split("\r\n")
         assert lines[0] == "x,S_K"
         assert len(lines) > 2
+
+    def test_matches_golden_to_50_digits(self, capsys):
+        code, out, _ = run(["expand", "--q", "0.5", "--nu", "0", "--K", "4",
+                            "--f", "t**(-1/4)", "--digits", "60"], capsys)
+        assert code == 0
+        got = json.loads(out)
+        want = json.loads((GOLDEN / "expand-q0.5-nu0-K4-t-quarter-d60.json")
+                          .read_text(encoding="utf-8"))
+        with mp.workdps(70):
+            for key in ("eta", "coeffs", "lattice_points",
+                        "partial_sum_values"):
+                assert len(got[key]) == len(want[key]), key
+                for g, w in zip(got[key], want[key]):
+                    w = mpf(w)
+                    assert abs(mpf(g) - w) <= abs(w) * mpf(10) ** -50, key
 
     def test_deterministic_rerun(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
