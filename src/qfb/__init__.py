@@ -13,8 +13,7 @@ from .qcore import (BaseMismatchError, LatticeFunction, QParams,
                     inner_product, norm_lq2, qintegral_01,
                     qpochhammer_finite, qpochhammer_infinite,
                     qpochhammer_multi, same_base)
-from .qspecial import (AsymptoticFrame, amplitude_A, jnu3, jnu3_derivative,
-                       phi11, phi11_derivative, predicted_derivative_leading)
+from .qspecial import jnu3, jnu3_derivative, phi11, phi11_derivative
 from .zeros import (ScanExhaustedError, ZeroRecord, alpha_k, bracket_zero,
                     count_zeros_below, dense_scan_brackets,
                     derivative_sign_pattern, empirical_k0, find_zero,
@@ -27,7 +26,7 @@ from .expansion import (BasisFunction, ETA_METHODS, ExpansionResult,
 from .verify import (ANCHORS, CHECK_IDS, CheckResult, VerificationReport,
                      run_checks)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "PrecisionContext", "EvalResult", "PrecisionError", "DivergenceError",
@@ -35,8 +34,7 @@ __all__ = [
     "QParams", "LatticeFunction", "BaseMismatchError", "same_base",
     "qpochhammer_finite", "qpochhammer_infinite", "qpochhammer_multi",
     "qintegral_01", "inner_product", "norm_lq2",
-    "AsymptoticFrame", "phi11", "phi11_derivative", "jnu3",
-    "jnu3_derivative", "amplitude_A", "predicted_derivative_leading",
+    "phi11", "phi11_derivative", "jnu3", "jnu3_derivative",
     "ZeroRecord", "ScanExhaustedError", "alpha_k", "bracket_zero",
     "find_zero", "zero_table", "empirical_k0", "count_zeros_below",
     "dense_scan_brackets", "verify_shifted_zero", "derivative_sign_pattern",

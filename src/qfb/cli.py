@@ -3,8 +3,8 @@
 Subcommands: eval | zeros | verify | expand.  All numbers cross the CLI
 boundary as decimal strings (never binary floats); CSV output is RFC-4180
 with a header row, JSON is UTF-8 with decimal-string reals.  Exit code 0
-means every requested pass/fail check passed and no error occurred;
-reported-only checks never affect the exit code.
+means every requested check passed and no error occurred, 1 that a check
+failed, and 2 a usage or numerical error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .qspecial import jnu3, jnu3_derivative
 from .zeros import (ScanExhaustedError, zero_table, zero_table_to_csv,
                     zero_table_to_json)
 from .expansion import BasisFunction, expand
-from .verify import CHECK_IDS, run_checks
+from .verify import CHECK_IDS, DEFAULT_RL_FUNCTIONS, run_checks
 
 HARD_KMAX = 16
 
@@ -87,8 +87,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="base q as a decimal string, 0 < q < 1")
     p.add_argument("--nu", required=True,
                    help="order nu as a decimal string, nu > -1")
+    # a string default goes through type=int, so a bad QFB_DIGITS is a
+    # usage error (exit 2) rather than a traceback
     p.add_argument("--digits", type=int,
-                   default=int(os.environ.get("QFB_DIGITS", "120")),
+                   default=os.environ.get("QFB_DIGITS", "120"),
                    help="decimal working precision (default: QFB_DIGITS "
                         "env var or 120)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -221,11 +223,7 @@ def _cmd_verify(args) -> int:
             options["gram_tol"] = mp.mpf(args.tol)
     if args.f:
         f = _resolve_f(args.f, params, ctx)
-        options["rl_functions"] = [
-            ("1", lambda t: mpf(1)),
-            ("t^(-1/4)", lambda t: t ** (-mpf(1) / 4)),
-            (args.f, f),
-        ]
+        options["rl_functions"] = [*DEFAULT_RL_FUNCTIONS, (args.f, f)]
     report = run_checks(params, ctx, kmax=args.kmax,
                         check_ids=args.check, **options)
     if args.format == "json":

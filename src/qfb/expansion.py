@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 from mpmath import mp, mpf
 
 from .precision import PrecisionContext, PrecisionError
-from .qcore import LatticeFunction, Numeric, QParams, _as_mp
+from .qcore import LatticeFunction, Numeric, QParams, _as_mp, lattice_sum
 from .zeros import ZeroRecord
 from .qspecial import jnu3, jnu3_derivative
 
@@ -73,43 +73,20 @@ class ModeCache:
 
 def _mode_integral(cache: ModeCache, n: int, m: int,
                    extra: Callable[[mpf], mpf] | None = None) -> mpf:
-    """(1-q) sum_j q^(2j) J_n(q^j) J_m(q^j) [extra(q^j)] with tail truncation.
+    """(1-q) sum_j q^(2j) J_n(q^j) J_m(q^j) [extra(q^j)] over the lattice.
 
     ``extra`` multiplies in an additional factor of the lattice point (used
-    for the coefficient integrals via f); terms are positive or oscillating
-    but always eventually decay like q^((2+2nu)j), so a three-in-a-row
-    smallness streak below series_tol * running_max ends the sum.
+    for the coefficient integrals via f).  The terms oscillate or stay
+    positive but always decay like q^((2+2nu)j) once j passes the mode
+    indices, so the first max(n, m) + 5 terms are always summed.
     """
-    ctx = cache.ctx
-    with ctx.workdps(10):
-        q = cache.params.q_mp()
-        tol = mpf(ctx.series_tol)
-        total = mpf(0)
-        max_mag = mpf(0)
-        t = mpf(1)       # q^j
-        w = mpf(1)       # q^(2j)
-        streak = 0
-        j = 0
-        min_terms = max(n, m) + 4
-        while True:
-            term = w * cache.value(n, j) * cache.value(m, j)
-            if extra is not None:
-                term *= extra(t)
-            total += term
-            mag = abs(term)
-            max_mag = max(max_mag, mag, abs(total))
-            if j >= min_terms and mag <= tol * max(max_mag, tol):
-                streak += 1
-                if streak >= 3:
-                    break
-            else:
-                streak = 0
-            j += 1
-            if j > ctx.max_terms:
-                raise PrecisionError("mode integral lattice cap exhausted")
-            t *= q
-            w *= q * q
-        return (1 - q) * total
+    def term(j: int, t: mpf) -> mpf:
+        v = t * t * cache.value(n, j) * cache.value(m, j)
+        return v if extra is None else v * extra(t)
+
+    with cache.ctx.workdps(10):
+        return lattice_sum(term, cache.params.q_mp(), cache.ctx,
+                           max(n, m) + 5)
 
 
 def eta_k(params: QParams, record: ZeroRecord, ctx: PrecisionContext,
@@ -174,33 +151,15 @@ def coefficient(params: QParams, f, record: ZeroRecord,
                 total += w * f.value(j) * cache.value(k, j)
                 t *= q
             return (1 - q) * total / eta
-        # open-ended lattice sum with the shared truncation policy
         if isinstance(f, BasisFunction):
             extra = (lambda t: 1 / mp.sqrt(t)) if weighted else None
             return _mode_integral(cache, f.n, k, extra) / eta
-        tol = mpf(ctx.series_tol)
-        total = mpf(0)
-        max_mag = mpf(0)
-        t = mpf(1)
-        streak = 0
-        j = 0
-        while True:
+
+        def term(j: int, t: mpf) -> mpf:
             w = t * t if not weighted else t * mp.sqrt(t)
-            term = w * mp.mpf(f(t)) * cache.value(k, j)
-            total += term
-            mag = abs(term)
-            max_mag = max(max_mag, mag, abs(total))
-            if j >= k + 4 and mag <= tol * max(max_mag, tol):
-                streak += 1
-                if streak >= 3:
-                    break
-            else:
-                streak = 0
-            j += 1
-            if j > ctx.max_terms:
-                raise PrecisionError("coefficient lattice cap exhausted")
-            t *= q
-        return (1 - q) * total / eta
+            return w * mp.mpf(f(t)) * cache.value(k, j)
+
+        return lattice_sum(term, q, ctx, k + 5) / eta
 
 
 def partial_sum(params: QParams, coeffs: Sequence, records: dict,
@@ -280,25 +239,8 @@ def riemann_lebesgue_rate(params: QParams, f, records: dict,
                     t *= q
                 wnorm2 *= (1 - q)
             else:
-                tol = mpf(ctx.series_tol)
-                wnorm2 = mpf(0)
-                t = mpf(1)
-                streak = 0
-                j = 0
-                while True:
-                    term = t * t * mp.mpf(f(t)) ** 2
-                    wnorm2 += term
-                    if j >= 8 and term <= tol * max(wnorm2, tol):
-                        streak += 1
-                        if streak >= 3:
-                            break
-                    else:
-                        streak = 0
-                    j += 1
-                    if j > ctx.max_terms:
-                        raise PrecisionError("weighted norm cap exhausted")
-                    t *= q
-                wnorm2 *= (1 - q)
+                wnorm2 = lattice_sum(lambda j, t: t * t * mp.mpf(f(t)) ** 2,
+                                     q, ctx, 9)
             hypothesis_ok = mp.isfinite(wnorm2)
         except (PrecisionError, OverflowError):
             wnorm2 = mp.inf

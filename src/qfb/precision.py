@@ -12,7 +12,7 @@ the request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from mpmath import mp, mpf
@@ -26,51 +26,36 @@ class DivergenceError(ValueError):
     """Parameters outside the convergence region (e.g. |q| >= 1)."""
 
 
+# hard cap on the terms of any series, product or lattice sum
+MAX_TERMS = 200_000
+# least precision growth factor of one escalation step
+ESCALATION_FACTOR = 1.5
+# guard digits carried above the accuracy target of a summation pass
+EXTRA_GUARD = 10
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision and truncation policy shared by all evaluations.
-
-    digits: decimal working precision (>= 30).
-    series_tol: relative truncation tolerance; must be < 10^(-digits/2).
-    max_terms: hard cap on series/lattice terms.
-    escalation_factor: precision growth factor when cancellation is detected.
-    """
+    """Working precision shared by all evaluations: digits >= 30 decimal."""
 
     digits: int = 120
-    series_tol: mpf | None = None
-    max_terms: int = 200_000
-    escalation_factor: float = 1.5
 
     def __post_init__(self):
         if self.digits < 30:
             raise ValueError(f"digits must be >= 30, got {self.digits}")
-        if self.escalation_factor <= 1:
-            raise ValueError("escalation_factor must be > 1")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be positive")
-        if self.series_tol is None:
-            with mp.workdps(30):
-                object.__setattr__(self, "series_tol",
-                                   mpf(10) ** (-(self.digits + 10)))
+
+    @property
+    def series_tol(self) -> mpf:
+        """Relative truncation tolerance 10^-(digits+10), held at 30 dps."""
         with mp.workdps(30):
-            tol = mpf(self.series_tol)
-            if not tol > 0:
-                raise ValueError("series_tol must be positive")
-            if not tol < mpf(10) ** (-self.digits / 2):
-                raise ValueError(
-                    "series_tol must be below 10^(-digits/2) "
-                    f"(digits={self.digits}, series_tol={self.series_tol})")
+            return mpf(10) ** (-(self.digits + 10))
 
     def workdps(self, extra: int = 0):
         """Context manager setting mpmath precision to digits + extra."""
         return mp.workdps(self.digits + extra)
 
-    def escalated(self) -> "PrecisionContext":
-        new_digits = math.ceil(self.digits * self.escalation_factor)
-        return replace(self, digits=new_digits, series_tol=None)
-
     def with_digits(self, digits: int) -> "PrecisionContext":
-        return replace(self, digits=digits, series_tol=None)
+        return PrecisionContext(digits)
 
     @property
     def dps_cap(self) -> int:
@@ -94,22 +79,18 @@ class EvalResult:
             return mp.inf
         return self.max_partial_magnitude / abs(self.value)
 
-    def to_json_dict(self, digits: int = 30) -> dict:
-        return {
-            "value": mp.nstr(self.value, digits),
-            "max_partial_magnitude": mp.nstr(self.max_partial_magnitude, 8),
-            "terms_used": self.terms_used,
-            "precision_used": self.precision_used,
-        }
-
 
 def tracked_sum(terms: Iterable, dps: int, max_terms: int,
                 min_terms: int = 4) -> tuple[mpf, mpf, int]:
     """Sum a term stream at the ambient precision, tracking magnitudes.
 
-    Truncates after three consecutive terms below max_magnitude * 10^(-dps);
-    the trailing small terms are kept in the sum.  Returns
-    (value, max_magnitude, terms_used).  Must be called inside mp.workdps.
+    The package's one truncation rule, shared by the adaptive series passes
+    and the open-ended lattice sums (qcore.lattice_sum): once at least
+    min_terms terms are in, stop after three consecutive terms below
+    max_magnitude * 10^(-dps), where max_magnitude is the largest term or
+    partial sum so far; the trailing small terms are kept in the sum.
+    Returns (value, max_magnitude, terms_used).  Must be called inside
+    mp.workdps.
     """
     total = mpf(0)
     max_mag = mpf(0)
@@ -138,8 +119,7 @@ def tracked_sum(terms: Iterable, dps: int, max_terms: int,
 
 
 def adaptive_sum(make_terms: Callable[[], Iterable], ctx: PrecisionContext,
-                 *, extra_guard: int = 10,
-                 min_terms: int = 4) -> EvalResult:
+                 *, min_terms: int = 4) -> EvalResult:
     """Evaluate a series with automatic precision escalation.
 
     ``make_terms`` is called inside each mp.workdps block and must yield the
@@ -149,9 +129,9 @@ def adaptive_sum(make_terms: Callable[[], Iterable], ctx: PrecisionContext,
     """
     dps = ctx.digits
     while True:
-        with mp.workdps(dps + extra_guard):
+        with mp.workdps(dps + EXTRA_GUARD):
             value, max_mag, n = tracked_sum(
-                make_terms(), dps, ctx.max_terms, min_terms=min_terms)
+                make_terms(), dps, MAX_TERMS, min_terms=min_terms)
         if max_mag == 0:
             return EvalResult(value, max_mag, n, dps)
         if value == 0:
@@ -166,8 +146,8 @@ def adaptive_sum(make_terms: Callable[[], Iterable], ctx: PrecisionContext,
             # it with the accounting intact rather than looping forever.
             return EvalResult(value, max_mag, n, dps)
         if lost == mp.inf:
-            next_dps = math.ceil(dps * ctx.escalation_factor)
+            next_dps = math.ceil(dps * ESCALATION_FACTOR)
         else:
-            next_dps = max(int(mp.ceil(ctx.digits + lost)) + extra_guard,
-                           math.ceil(dps * ctx.escalation_factor))
+            next_dps = max(int(mp.ceil(ctx.digits + lost)) + EXTRA_GUARD,
+                           math.ceil(dps * ESCALATION_FACTOR))
         dps = min(next_dps, ctx.dps_cap)

@@ -3,9 +3,9 @@ and the L_q^2[0,1] inner product.
 
 The q-integral of f over [0,1] is the lattice sum (1-q) * sum_k f(q^k) q^k,
 so a function only matters on the geometric lattice {q^k}.  LatticeFunction
-captures exactly that support with an explicit truncation; analytic
-integrands are handled by an open-ended lattice sum with a recorded
-geometric tail bound.
+captures exactly that support with an explicit truncation and is summed as
+a finite sum; analytic integrands go through lattice_sum, the open-ended
+lattice sum under the package's one truncation rule.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .precision import DivergenceError, PrecisionContext, PrecisionError
+from .precision import (MAX_TERMS, DivergenceError, PrecisionContext,
+                        PrecisionError, tracked_sum)
 
 Numeric = str | float | int | mpf
 
@@ -27,8 +28,6 @@ class BaseMismatchError(ValueError):
 
 def _as_mp(x: Numeric) -> mpf:
     """Convert to mpf at the ambient precision (strings re-parsed exactly)."""
-    if isinstance(x, str):
-        return mp.mpf(x)
     return mp.mpf(x)
 
 
@@ -167,7 +166,7 @@ def qpochhammer_infinite(a: Numeric, q: Numeric,
             prod *= (1 - aq)
             aq *= qv
             n += 1
-            if n > ctx.max_terms:
+            if n > MAX_TERMS:
                 raise PrecisionError("q-Pochhammer product cap exhausted")
         _POCH_CACHE[key] = prod
         return prod
@@ -183,46 +182,24 @@ def qpochhammer_multi(a_list: Sequence[Numeric], q: Numeric,
         return prod
 
 
-@dataclass
-class IntegralInfo:
-    value: mpf
-    terms_used: int
-    tail_bound: mpf
+def lattice_sum(term: Callable[[int, mpf], mpf], q: mpf,
+                ctx: PrecisionContext, min_terms: int) -> mpf:
+    """(1-q) * sum_{j>=0} term(j, q^j) over the open-ended lattice.
 
-
-def _lattice_integral(f: Callable, q: mpf, ctx: PrecisionContext,
-                      min_terms: int = 8) -> IntegralInfo:
-    """(1-q) sum_k f(q^k) q^k for an analytic integrand f.
-
-    Truncates after three consecutive terms below series_tol times the
-    accumulated magnitude scale; the reported tail bound is the geometric
-    extrapolation of the last term.
+    Truncated by tracked_sum's rule at 10^-(digits+10) relative to the
+    largest term or partial sum, never before min_terms terms (counted from
+    1).  Call inside ctx.workdps(10).
     """
-    tol = mpf(ctx.series_tol)
-    total = mpf(0)
-    max_mag = mpf(0)
-    small_streak = 0
-    k = 0
-    t = mpf(1)
-    last = mpf(0)
-    while True:
-        term = f(t) * t
-        total += term
-        mag = abs(term)
-        max_mag = max(max_mag, mag, abs(total))
-        if k >= min_terms and mag <= tol * max(max_mag, mpf(1)):
-            small_streak += 1
-            if small_streak >= 3:
-                last = mag
-                break
-        else:
-            small_streak = 0
-        k += 1
-        if k > ctx.max_terms:
-            raise PrecisionError("q-integral lattice cap exhausted")
-        t *= q
-    tail = last * q / (1 - q)
-    return IntegralInfo((1 - q) * total, k + 1, tail)
+    def terms():
+        t = mpf(1)
+        j = 0
+        while True:
+            yield term(j, t)
+            j += 1
+            t *= q
+
+    total, _, _ = tracked_sum(terms(), ctx.digits + 10, MAX_TERMS, min_terms)
+    return (1 - q) * total
 
 
 def qintegral_01(f: LatticeFunction | Callable, ctx: PrecisionContext,
@@ -248,7 +225,7 @@ def qintegral_01(f: LatticeFunction | Callable, ctx: PrecisionContext,
     if q is None:
         raise ValueError("analytic integrands require the base q")
     with ctx.workdps(10):
-        return _lattice_integral(f, _as_mp(q), ctx).value
+        return lattice_sum(lambda j, t: f(t) * t, _as_mp(q), ctx, 9)
 
 
 def inner_product(f: LatticeFunction, g: LatticeFunction,

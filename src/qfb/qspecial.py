@@ -1,6 +1,5 @@
 """Evaluation of 1phi1(0;w;q,z), the third Jackson q-Bessel function
-J_nu(z;q^2), their z-derivatives, and the leading-order asymptotic
-predictors A(z), beta(z), K(z).
+J_nu(z;q^2) and their z-derivatives.
 
 All series are summed with the adaptive cancellation policy of
 qfb.precision: near z = q^(-m) the largest term grows like q^(-m^2)-scale
@@ -10,8 +9,6 @@ precision is detected and escalated automatically.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from mpmath import mp, mpf
@@ -19,29 +16,6 @@ from mpmath import mp, mpf
 from .precision import (DivergenceError, EvalResult, PrecisionContext,
                         adaptive_sum)
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_infinite
-
-
-@dataclass(frozen=True)
-class AsymptoticFrame:
-    """Modular-dual base q~, phase beta(z) and index bracket K(z) for a base q.
-
-    q~ = exp(4 pi^2 / ln q), beta(z) = pi ln z / ln q,
-    K(z) = floor(1/2 - ln z / ln q).
-    """
-
-    q: Numeric
-
-    def q_tilde(self) -> mpf:
-        qv = _as_mp(self.q)
-        return mp.exp(4 * mp.pi ** 2 / mp.log(qv))
-
-    def beta(self, z: Numeric) -> mpf:
-        qv = _as_mp(self.q)
-        return mp.pi * mp.log(_as_mp(z)) / mp.log(qv)
-
-    def K(self, z: Numeric) -> int:
-        qv = _as_mp(self.q)
-        return int(mp.floor(mp.mpf(1) / 2 - mp.log(_as_mp(z)) / mp.log(qv)))
 
 
 def _check_base(q: Numeric) -> None:
@@ -208,78 +182,3 @@ def jnu3_derivative(params: QParams, z: Numeric, ctx: PrecisionContext,
             raise ValueError("derivative is singular at z = 0 for nu < 1")
     return _jnu_series_result(params.nu, base, params.q, z, ctx,
                               derivative=True)
-
-
-def amplitude_A(z: Numeric, q: Numeric, ctx: PrecisionContext) -> mpf:
-    """Leading-order amplitude
-
-    A(z) = 2 q^(-1/12) sqrt(z) exp(-ln^2 z/(2 ln q) + pi^2/(3 ln q))
-           * |(q~ e^(2 i beta(z)); q~)_inf|^2,
-
-    with the modulus-squared product expanded as
-    prod_k (1 - 2 q~^k cos(2 beta) + q~^(2k)), k >= 1.
-    """
-    _check_base(q)
-    with mp.workdps(50):
-        if not _as_mp(z) > 0:
-            raise ValueError(f"A(z) requires z > 0, got {z}")
-    with ctx.workdps(10):
-        qv = _as_mp(q)
-        zv = _as_mp(z)
-        lnq = mp.log(qv)
-        lnz = mp.log(zv)
-        qt = mp.exp(4 * mp.pi ** 2 / lnq)
-        beta = mp.pi * lnz / lnq
-        cos2b = mp.cos(2 * beta)
-        tol = mpf(ctx.series_tol)
-        prod = mpf(1)
-        qtk = qt
-        while qtk >= tol:
-            prod *= (1 - 2 * qtk * cos2b + qtk * qtk)
-            qtk *= qt
-        return (2 * qv ** (mpf(-1) / 12) * mp.sqrt(zv)
-                * mp.exp(-lnz ** 2 / (2 * lnq) + mp.pi ** 2 / (3 * lnq))
-                * prod)
-
-
-def predicted_derivative_leading(params: QParams, m: int, theta: Numeric,
-                                 ctx: PrecisionContext) -> mpf:
-    """Leading-order predictor for J'_nu(q^(-m+theta); q^2).
-
-    This is the displayed asymptotic expression with the bounded correction
-    functions replaced by 1 and the O(.) remainders dropped; it is only a
-    sign and bounded-ratio predictor, never a value oracle.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    with ctx.workdps(10):
-        qv = params.q_mp()
-        nuv = params.nu_mp()
-        th = _as_mp(theta)
-        lnq = mp.log(qv)
-        omega = qv ** (2 * (nuv + 1))
-        # amplitude at the base-q^2 argument q^(2-2m+2theta)
-        a2 = amplitude_A(qv ** (2 - 2 * m + 2 * th), qv ** 2, ctx)
-        # dual base for q -> q^2: exp(4 pi^2 / ln q^2) = exp(2 pi^2 / ln q)
-        qt = mp.exp(2 * mp.pi ** 2 / lnq)
-        s = mpf(0)
-        tol = mpf(ctx.series_tol)
-        qtk = qt
-        e = mp.expjpi(-2 * th)     # exp(-2 i pi theta)
-        while qtk >= tol:
-            s += qtk / abs(1 - qtk * e) ** 2
-            qtk *= qt
-        sin_t = mp.sinpi(th)
-        cos_t = mp.cospi(th)
-        bracket = ((nuv + 2 * m - 1 - 2 * th) * sin_t
-                   + (mp.pi / lnq) * cos_t
-                   + (8 * mp.pi / lnq) * s * sin_t ** 2 * cos_t)
-        first = a2 * (-1) ** (m - 1) * bracket
-        km = int(mp.floor(m - mpf(1) / 2 - th))
-        qq_inf = qpochhammer_infinite(qv ** 2, qv ** 2, ctx)
-        second = ((-1) ** (km + 1) * qv ** ((km + 1) * km)
-                  * omega ** (km + 1) * nuv
-                  * qpochhammer_infinite(qv ** (2 * km + 4 - 2 * m + 2 * th),
-                                         qv ** 2, ctx) / qq_inf)
-        pref = qv ** ((-m + th) * (nuv - 1)) / qq_inf
-        return pref * (first + second)

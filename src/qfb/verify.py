@@ -5,7 +5,7 @@ interlacing of shifted zeros, decay bounds, orthogonality, coefficient decay,
 or internal consistency between independent computation routes — and returns
 an auditable record: the mathematical statement being tested (the anchor),
 the parameters, an observed margin, a threshold index for asymptotic
-statements, and a pass/fail/reported-only status.
+statements, and a pass/fail status.
 
 Asymptotic statements ("for large indices") are operationalized as: the
 property must hold for every index from a reported threshold up to the tested
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from mpmath import mp, mpf
 
@@ -77,6 +77,22 @@ CHECK_IDS = tuple(ANCHORS)
 
 # the largest acceptable threshold index for asymptotic sign/bound claims
 ASYMPTOTIC_THRESHOLD = 6
+# modes in the Gram matrix (capped at kmax) and its default tolerance
+GRAM_SIZE = 8
+GRAM_TOL = "1e-40"
+# consistency tolerances: series routes, monomial integrals, eta routes and
+# the order recurrence
+ROUTE_TOL = "1e-60"
+INTEGRAL_TOL = "1e-100"
+ETA_TOL = "1e-40"
+# integrands of the riemann-lebesgue check; the CLI's --f adds one more
+DEFAULT_RL_FUNCTIONS = (
+    ("1", lambda t: mpf(1)),
+    ("t^(-1/4)", lambda t: t ** (-mpf(1) / 4)),
+)
+# the settings run_checks forwards to the individual checks
+OPTIONS = frozenset({"theta_zero_rule", "theta_inf_rule",
+                     "samples_per_interval", "gram_tol", "rl_functions"})
 
 
 @dataclass
@@ -84,7 +100,7 @@ class CheckResult:
     check: str
     anchor: str
     params: dict
-    status: str                 # "pass" | "fail" | "reported"
+    status: str                 # "pass" | "fail"
     margin: mpf | None = None   # the observed worst margin/supremum
     threshold: int | None = None
     details: dict = field(default_factory=dict)
@@ -308,12 +324,12 @@ def _check_eta_decay(params, ctx, records, cache, kmax,
 
 
 def _check_gram(params, ctx, records, cache, kmax, options) -> CheckResult:
-    K = min(int(options.get("gram_size", 8)), kmax)
+    K = min(GRAM_SIZE, kmax)
     g = gram_matrix(params, records, K, ctx, cache)
     with mp.workdps(ctx.digits):
         resid = max(abs(g[i][j] - (1 if i == j else 0))
                     for i in range(K) for j in range(K))
-        tol = _as_mp(options.get("gram_tol", mpf(10) ** -40))
+        tol = _as_mp(options.get("gram_tol", GRAM_TOL))
     ok = resid < tol
     return CheckResult(
         check="gram", anchor=ANCHORS["gram"],
@@ -324,11 +340,7 @@ def _check_gram(params, ctx, records, cache, kmax, options) -> CheckResult:
 
 def _check_riemann_lebesgue(params, ctx, records, cache, kmax,
                             options) -> CheckResult:
-    fs = options.get("rl_functions")
-    if fs is None:
-        fs = [("1", lambda t: mpf(1)),
-              ("t^(-1/4)", lambda t: t ** (-mpf(1) / 4))]
-    reported_only = bool(options.get("rl_reported_only", False))
+    fs = options.get("rl_functions", DEFAULT_RL_FUNCTIONS)
     per_f = {}
     ok = True
     sups = []
@@ -349,12 +361,11 @@ def _check_riemann_lebesgue(params, ctx, records, cache, kmax,
             "rows": [{"m": r["m"], "rate": r["rate"],
                       "cs_holds": r["cs_holds"]} for r in rep["rows"]],
         }
-    status = "reported" if reported_only else _status(ok)
     return CheckResult(
         check="riemann-lebesgue", anchor=ANCHORS["riemann-lebesgue"],
         params={"q": str(params.q), "nu": str(params.nu), "m_max": kmax,
                 "functions": [name for name, _ in fs]},
-        status=status, margin=max(sups),
+        status=_status(ok), margin=max(sups),
         details=per_f)
 
 
@@ -414,10 +425,9 @@ def _check_consistency(params, ctx, records, cache, kmax,
                 rel = abs(lhs - rhs / z_shift) / abs(lhs)
             worst_rec = max(worst_rec, rel)
         details["order_recurrence_rel"] = worst_rec
-        tol_route = _as_mp(options.get("route_tol", mpf(10) ** -60))
-        tol_int = _as_mp(options.get("integral_tol", mpf(10) ** -100))
-        tol_eta = _as_mp(options.get("eta_tol", mpf(10) ** -40))
-        ok = (worst_route < tol_route and worst_int < tol_int
+        tol_eta = _as_mp(ETA_TOL)
+        ok = (worst_route < _as_mp(ROUTE_TOL)
+              and worst_int < _as_mp(INTEGRAL_TOL)
               and worst_eta < tol_eta and worst_rec < tol_eta)
         margin = max(worst_route, worst_eta, worst_rec)
     return CheckResult(
@@ -449,9 +459,11 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
     """Run the named checks (all of them by default) and collect a report.
 
     ``options`` are forwarded to individual checks: theta_zero_rule,
-    theta_inf_rule, samples_per_interval, gram_size, gram_tol, rl_functions,
-    rl_reported_only, route_tol, integral_tol, eta_tol.
+    theta_inf_rule, samples_per_interval, gram_tol and rl_functions.
     """
+    unknown = sorted(set(options) - OPTIONS)
+    if unknown:
+        raise TypeError(f"unknown run_checks options: {', '.join(unknown)}")
     ids = list(check_ids) if check_ids else list(CHECK_IDS)
     for cid in ids:
         if cid not in _CHECK_FUNCS:

@@ -419,16 +419,13 @@ def derivative_sign_pattern(params: QParams, m_values: Iterable[int],
 
 def verify_sign_constancy(params: QParams, m_values: Iterable[int],
                           ctx: PrecisionContext,
-                          samples_per_interval: int = 32,
-                          theta_star_rule: Callable[[int], Numeric] | None
-                          = None) -> dict:
-    """Sample J'_nu(.;q^2) on a geometric grid in (q^(-m+theta*_m), q^(-m)).
+                          samples_per_interval: int = 32) -> dict:
+    """Sample J'_nu(.;q^2) on a geometric grid in (q^(-m+alpha_m), q^(-m)).
 
-    Default theta*_m = alpha_m.  Reports whether the sign is constant in
-    each interval and whether adjacent intervals alternate.  Indices where
-    the exponent falls outside [0,1) (alpha_m >= 1 happens pre-asymptotically
-    for q near 1 at small m, where the "interval" would span several zeros)
-    are reported as skipped.
+    Reports whether the sign is constant in each interval and whether
+    adjacent intervals alternate.  Indices where alpha_m falls outside
+    [0,1) (alpha_m >= 1 happens pre-asymptotically for q near 1 at small m,
+    where the "interval" would span several zeros) are reported as skipped.
     """
     if samples_per_interval < 1:
         raise ValueError("need at least one sample per interval")
@@ -437,16 +434,13 @@ def verify_sign_constancy(params: QParams, m_values: Iterable[int],
     with ctx.workdps(10):
         q = params.q_mp()
         for m in m_values:
-            if theta_star_rule is None:
-                try:
-                    th = alpha_k(params, m, ctx)
-                except ValueError:
-                    th = None
-                if th is None or not th < 1:
-                    skipped.append(m)
-                    continue
-            else:
-                th = _theta_value(theta_star_rule, m)
+            try:
+                th = alpha_k(params, m, ctx)
+            except ValueError:
+                th = None
+            if th is None or not th < 1:
+                skipped.append(m)
+                continue
             signs = []
             n = samples_per_interval
             for i in range(n):

@@ -222,3 +222,10 @@ class TestEnvironment:
         j = json.loads(out)[0]["J"]
         mantissa = j.replace("-", "").replace(".", "").split("e")[0]
         assert len(mantissa) <= 36
+
+    def test_bad_qfb_digits_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("QFB_DIGITS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["zeros", "--q", "0.5", "--nu", "0", "--kmax", "1"])
+        assert exc.value.code == 2
+        assert "--digits" in capsys.readouterr().err

@@ -1,10 +1,14 @@
-"""Traceability: every report anchor must appear in the docs matrix."""
+"""Traceability: every report anchor must appear in the docs matrix, and the
+package version matches the project metadata."""
 
+import re
 from pathlib import Path
 
+import qfb
 from qfb import ANCHORS, CHECK_IDS
 
-DOC = Path(__file__).resolve().parent.parent / "docs" / "checks.md"
+ROOT = Path(__file__).resolve().parent.parent
+DOC = ROOT / "docs" / "checks.md"
 
 
 def test_docs_page_exists():
@@ -21,3 +25,9 @@ def test_every_check_id_has_a_section():
     text = DOC.read_text(encoding="utf-8")
     for check_id in CHECK_IDS:
         assert f"## `{check_id}`" in text
+
+
+def test_version_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"', text, re.MULTILINE)
+    assert match and qfb.__version__ == match.group(1)

@@ -10,6 +10,7 @@ from qfb import (BaseMismatchError, LatticeFunction, PrecisionContext,
                  QParams, inner_product, norm_lq2, qintegral_01,
                  qpochhammer_finite, qpochhammer_infinite, qpochhammer_multi,
                  same_base)
+from qfb.qcore import lattice_sum
 
 CTX = PrecisionContext(digits=60)
 
@@ -114,13 +115,15 @@ class TestQIntegral:
     @pytest.mark.parametrize("q", ["0.3", "0.5", "0.8"])
     @pytest.mark.parametrize("s", [0, 1, 2, 3, 7])
     def test_monomials_match_geometric_closed_form(self, q, s):
-        # integral of t^s equals (1-q)/(1-q^(s+1)) exactly on the lattice
+        # integral of c t^s equals c (1-q)/(1-q^(s+1)) exactly on the
+        # lattice; the truncation is relative, so a tiny scale c loses nothing
         ctx = PrecisionContext(digits=120)
-        val = qintegral_01(lambda t: t ** s, ctx, q=q)
-        with mp.workdps(140):
-            qv = mpf(q)
-            exact = (1 - qv) / (1 - qv ** (s + 1))
-            assert abs(val - exact) < mpf(10) ** -100
+        for scale in (mpf(1), mpf(10) ** -50):
+            val = qintegral_01(lambda t: scale * t ** s, ctx, q=q)
+            with mp.workdps(140):
+                qv = mpf(q)
+                exact = scale * (1 - qv) / (1 - qv ** (s + 1))
+                assert abs(val - exact) < abs(exact) * mpf(10) ** -100
 
     def test_linearity(self):
         with mp.workdps(70):
@@ -139,6 +142,22 @@ class TestQIntegral:
             got = qintegral_01(lf, CTX)
             # (1-q)(1*1 + 2*q + 4*q^2) with q = 1/2
             assert abs(got - mpf("1.5")) < mpf(10) ** -50
+
+    def test_lattice_function_with_interior_zeros_is_summed_in_full(self):
+        # a long run of zero samples must not end a finite lattice sum
+        with mp.workdps(60):
+            lf = LatticeFunction(values=("1",) + ("0",) * 20 + ("3",),
+                                 base="0.5")
+            want = (1 - mpf("0.5")) * (1 + 3 * mpf("0.5") ** 21)
+            assert abs(qintegral_01(lf, CTX) - want) < mpf(10) ** -50
+
+    def test_lattice_sum_counts_min_terms_from_one(self):
+        # the only nonzero term is term 8 (j = 7): min_terms = 9 keeps the
+        # sum open past it, min_terms = 5 ends it on j = 4, 5, 6
+        q = mpf("0.5")
+        with CTX.workdps(10):
+            assert lattice_sum(lambda j, t: mpf(j == 7), q, CTX, 9) == 1 - q
+            assert lattice_sum(lambda j, t: mpf(j == 7), q, CTX, 5) == 0
 
     def test_lattice_base_mismatch_raises(self):
         lf = LatticeFunction(values=("1",), base="0.5")

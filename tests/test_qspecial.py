@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qfb import (AsymptoticFrame, DivergenceError, PrecisionContext, QParams,
-                 amplitude_A, jnu3, jnu3_derivative, phi11, phi11_derivative,
+from qfb import (DivergenceError, PrecisionContext, QParams, jnu3,
+                 jnu3_derivative, phi11, phi11_derivative,
                  qpochhammer_infinite)
 
 CTX = PrecisionContext(digits=60)
@@ -189,32 +189,3 @@ class TestCancellationAccounting:
         b = jnu3(params, z, ctx.with_digits(80)).value
         with mp.workdps(100):
             assert abs(a - b) <= abs(b) * mpf(10) ** -35
-
-
-class TestAsymptoticFrame:
-    def test_amplitude_matches_complex_product_oracle(self):
-        ctx = PrecisionContext(digits=50)
-        with mp.workdps(70):
-            q, z = mpf("0.25"), mpf("17.3")
-            got = amplitude_A(z, q, ctx)
-            lnq = mp.log(q)
-            qt = mp.exp(4 * mp.pi ** 2 / lnq)
-            beta = mp.pi * mp.log(z) / lnq
-            # |(qt e^(2 i beta); qt)_inf|^2 via complex arithmetic
-            prod = mpf(1)
-            term = qt * mp.expj(2 * beta)
-            for _ in range(200):
-                prod *= abs(1 - term) ** 2
-                term *= qt
-            want = (2 * q ** (mpf(-1) / 12) * mp.sqrt(z)
-                    * mp.exp(-mp.log(z) ** 2 / (2 * lnq)
-                             + mp.pi ** 2 / (3 * lnq)) * prod)
-            assert abs(got - want) <= abs(want) * mpf(10) ** -40
-
-    def test_frame_quantities(self):
-        with mp.workdps(50):
-            fr = AsymptoticFrame("0.5")
-            assert fr.q_tilde() < 1
-            # K(z) = floor(1/2 - ln z / ln q) = floor(1/2 + m) = m at z=q^(-m)
-            assert fr.K(mpf(2) ** 7) == 7
-            assert abs(fr.beta(mpf(1))) == 0
