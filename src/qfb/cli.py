@@ -54,9 +54,9 @@ def _rule_from_expr(expr: str, var: str) -> Callable:
     return rule
 
 
-def _resolve_f(spec: str, params: QParams, ctx: PrecisionContext,
-               records=None):
-    """Resolve a function spec: '1', a t-expression, 'mode:N', or a JSON
+def _resolve_f(spec: str, n_modes: int):
+    """Resolve a function spec: '1', a t-expression, 'mode:N' with
+    1 <= N <= n_modes (the number of zeros computed), or a JSON
     lattice-function file path (prefix '@' or suffix '.json')."""
     if spec.startswith("@") or spec.endswith(".json"):
         path = spec[1:] if spec.startswith("@") else spec
@@ -66,8 +66,9 @@ def _resolve_f(spec: str, params: QParams, ctx: PrecisionContext,
         return lambda t: mpf(1)
     if spec.startswith("mode:"):
         n = int(spec.split(":", 1)[1])
-        if records is None or n not in records:
-            raise ValueError(f"mode:{n} requires a zero table covering k={n}")
+        if not 1 <= n <= n_modes:
+            raise ValueError(f"mode:{n} needs 1 <= N <= {n_modes}: the "
+                             f"zero table covers k = 1..{n_modes}")
         return BasisFunction(n)
     return _rule_from_expr(spec, "t")
 
@@ -141,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 1/sqrt(m))")
     pv.add_argument("--f", default=None,
                     help="extra integrand for the riemann-lebesgue check: "
-                         "'1', a t-expression, or a lattice JSON file")
+                         "'1', a t-expression, 'mode:N' with N <= kmax, or "
+                         "a lattice JSON file")
     pv.add_argument("--tol", default=None,
                     help="override the Gram residual tolerance "
                          "(decimal string, default 1e-40)")
@@ -152,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(px)
     px.add_argument("--K", type=int, required=True, help="number of modes")
     px.add_argument("--f", required=True,
-                    help="function spec: '1', a t-expression, 'mode:N', or "
-                         "a lattice JSON file")
+                    help="function spec: '1', a t-expression, 'mode:N' "
+                         "with N <= K, or a lattice JSON file")
     px.add_argument("--allow-large-k", action="store_true")
     px.add_argument("--plot-csv", default=None,
                     help="also write (x, S_K(x)) lattice samples as CSV")
@@ -222,7 +224,7 @@ def _cmd_verify(args) -> int:
         with mp.workdps(60):
             options["gram_tol"] = mp.mpf(args.tol)
     if args.f:
-        f = _resolve_f(args.f, params, ctx)
+        f = _resolve_f(args.f, args.kmax)
         options["rl_functions"] = [*DEFAULT_RL_FUNCTIONS, (args.f, f)]
     report = run_checks(params, ctx, kmax=args.kmax,
                         check_ids=args.check, **options)
@@ -239,8 +241,8 @@ def _cmd_expand(args) -> int:
     _check_kmax(args.K, args.allow_large_k)
     params = QParams(args.q, args.nu)
     ctx = PrecisionContext(digits=args.digits)
+    f = _resolve_f(args.f, args.K)
     records = {r.k: r for r in zero_table(params, args.K, ctx)}
-    f = _resolve_f(args.f, params, ctx, records)
     result = expand(params, f, records, args.K, ctx)
     _emit(result.to_json(digits=args.digits), args.out)
     if args.plot_csv:

@@ -24,6 +24,7 @@ from .zeros import ZeroRecord
 from .qspecial import jnu3, jnu3_derivative
 
 ETA_METHODS = ("integral", "closed_form_nu_plus_1", "closed_form_nu")
+LATTICE_SAMPLES = 12
 
 
 class BasisFunction:
@@ -42,7 +43,8 @@ class BasisFunction:
 
 
 class ModeCache:
-    """Lazy cache of basis-function values J_nu(q j_k q^j; q^2).
+    """Lazy cache of per-zero values: basis-function values J_nu(q j_k q^j;
+    q^2), the closed-form eta_k, and what the checks memoise.
 
     Values are computed once per (k, j) at the context's precision; the
     per-point adaptive escalation makes each one accurate relative to its
@@ -55,38 +57,55 @@ class ModeCache:
         self.params = params
         self.records = records
         self.ctx = ctx
-        self._vals: dict[tuple[int, int], mpf] = {}
+        self._vals: dict = {}
 
-    def value(self, k: int, j: int) -> mpf:
-        key = (k, j)
+    def memo(self, key, compute: Callable[[], object]):
+        """compute(), called once per key for the life of the cache."""
         hit = self._vals.get(key)
         if hit is None:
-            rec = self.records[k]
-            # q^(j+1)*j_k lands superexponentially close to smaller zeros;
-            # build it at the precision the refined zero carries.
-            with mp.workdps(max(self.ctx.digits + 10, rec.arg_dps)):
-                z = self.params.q_mp() ** (j + 1) * rec.j
-            hit = jnu3(self.params, z, self.ctx).value
-            self._vals[key] = hit
+            hit = self._vals[key] = compute()
         return hit
 
+    def value(self, k: int, j: int) -> mpf:
+        # q^(j+1)*j_k lands superexponentially close to smaller zeros
+        return self.memo((k, j), lambda: jnu3(
+            self.params, self.records[k].scaled(self.params, self.ctx, j + 1),
+            self.ctx).value)
 
-def _mode_integral(cache: ModeCache, n: int, m: int,
-                   extra: Callable[[mpf], mpf] | None = None) -> mpf:
-    """(1-q) sum_j q^(2j) J_n(q^j) J_m(q^j) [extra(q^j)] over the lattice.
+    def eta(self, k: int) -> mpf:
+        """eta_k by the closed form through J_(nu+1), computed once per k."""
+        return self.memo(("eta", k), lambda: eta_k(
+            self.params, self.records[k], self.ctx))
 
-    ``extra`` multiplies in an additional factor of the lattice point (used
-    for the coefficient integrals via f).  The terms oscillate or stay
-    positive but always decay like q^((2+2nu)j) once j passes the mode
-    indices, so the first max(n, m) + 5 terms are always summed.
+
+def _read(f, cache: ModeCache) -> tuple[Callable[[int, mpf], mpf], int,
+                                        int | None]:
+    """f on the lattice as (value at (j, q^j), mode index or 0, sample count
+    or None): a LatticeFunction by index, a BasisFunction from the cache, a
+    callable at the lattice point."""
+    if isinstance(f, LatticeFunction):
+        return (lambda j, t: f.value(j)), 0, f.truncation
+    if isinstance(f, BasisFunction):
+        return (lambda j, t: cache.value(f.n, j)), f.n, None
+    return (lambda j, t: mp.mpf(f(t))), 0, None
+
+
+def _integral(cache: ModeCache, f, k: int) -> mpf:
+    """(1-q) sum_j q^(2j) f(q^j) J_k(q^j) over the lattice.
+
+    A LatticeFunction is summed over its samples.  Otherwise the terms
+    oscillate or stay positive but decay like q^((2+2nu)j) once j passes
+    the mode indices, so the first max(n, k) + 5 terms are always summed,
+    with n the mode index of f (0 for a callable).
     """
+    value, mode, count = _read(f, cache)
+
     def term(j: int, t: mpf) -> mpf:
-        v = t * t * cache.value(n, j) * cache.value(m, j)
-        return v if extra is None else v * extra(t)
+        return t * t * value(j, t) * cache.value(k, j)
 
     with cache.ctx.workdps(10):
         return lattice_sum(term, cache.params.q_mp(), cache.ctx,
-                           max(n, m) + 5)
+                           max(mode, k) + 5, n=count)
 
 
 def eta_k(params: QParams, record: ZeroRecord, ctx: PrecisionContext,
@@ -106,10 +125,9 @@ def eta_k(params: QParams, record: ZeroRecord, ctx: PrecisionContext,
         if method == "integral":
             if cache is None:
                 cache = ModeCache(params, {record.k: record}, ctx)
-            return _mode_integral(cache, record.k, record.k)
+            return _integral(cache, BasisFunction(record.k), record.k)
         deriv = jnu3_derivative(params, record.j, ctx).value
-        with mp.workdps(max(ctx.digits + 10, record.arg_dps)):
-            z_shift = params.q_mp() * record.j
+        z_shift = record.scaled(params, ctx)
         if method == "closed_form_nu_plus_1":
             with mp.workdps(ctx.digits + 40):
                 up = QParams(params.q, params.nu_mp() + 1)
@@ -119,21 +137,15 @@ def eta_k(params: QParams, record: ZeroRecord, ctx: PrecisionContext,
         return (q - 1) / (2 * record.j) * q ** (nu - 2) * jval * deriv
 
 
-def _integrand_value(f, t: mpf, j: int) -> mpf:
-    if isinstance(f, LatticeFunction):
-        return f.value(j)
-    return mp.mpf(f(t))
-
-
 def coefficient(params: QParams, f, record: ZeroRecord,
                 eta_value: Numeric, ctx: PrecisionContext,
-                cache: ModeCache | None = None,
-                weighted: bool = False) -> mpf:
+                cache: ModeCache | None = None) -> mpf:
     """Expansion coefficient a_k(f) = (1/eta_k) integral t f(t) J_nu(q j_k t).
 
-    ``weighted=True`` returns the t^(1/2)-regrouped coefficient, i.e. the
-    same integral with integrand t^(1/2) f(t) instead of t f(t).
-    ``f`` is a callable on (0,1] or a LatticeFunction over base q.
+    The integral is the lattice sum (1-q) sum_j q^(2j) f(q^j) J_nu(q j_k q^j).
+    ``f`` is a callable on (0,1], a LatticeFunction over base q (summed over
+    its samples) or a BasisFunction (read from the cache, which must then
+    hold its zero record).
     """
     with ctx.workdps(10):
         eta = _as_mp(eta_value)
@@ -141,25 +153,7 @@ def coefficient(params: QParams, f, record: ZeroRecord,
             raise ValueError("eta_k must be positive")
         if cache is None:
             cache = ModeCache(params, {record.k: record}, ctx)
-        q = params.q_mp()
-        k = record.k
-        if isinstance(f, LatticeFunction):
-            total = mpf(0)
-            t = mpf(1)
-            for j in range(f.truncation):
-                w = t * t if not weighted else t * mp.sqrt(t)
-                total += w * f.value(j) * cache.value(k, j)
-                t *= q
-            return (1 - q) * total / eta
-        if isinstance(f, BasisFunction):
-            extra = (lambda t: 1 / mp.sqrt(t)) if weighted else None
-            return _mode_integral(cache, f.n, k, extra) / eta
-
-        def term(j: int, t: mpf) -> mpf:
-            w = t * t if not weighted else t * mp.sqrt(t)
-            return w * mp.mpf(f(t)) * cache.value(k, j)
-
-        return lattice_sum(term, q, ctx, k + 5) / eta
+        return _integral(cache, f, record.k) / eta
 
 
 def partial_sum(params: QParams, coeffs: Sequence, records: dict,
@@ -169,12 +163,10 @@ def partial_sum(params: QParams, coeffs: Sequence, records: dict,
         raise ValueError(f"K={K} exceeds available coefficients")
     out = []
     with ctx.workdps(10):
-        q = params.q_mp()
         for x in x_points:
             s = mpf(0)
             for k in range(1, K + 1):
-                with mp.workdps(max(ctx.digits + 10, records[k].arg_dps)):
-                    z = params.q_mp() * records[k].j * _as_mp(x)
+                z = records[k].scaled(params, ctx, x=x)
                 s += _as_mp(coeffs[k - 1]) * jnu3(params, z, ctx).value
             out.append(s)
     return out
@@ -197,13 +189,11 @@ def gram_matrix(params: QParams, records: dict[int, ZeroRecord], K: int,
     if cache is None:
         cache = ModeCache(params, records, ctx)
     with ctx.workdps(10):
-        etas = [eta_k(params, records[k], ctx, "closed_form_nu_plus_1")
-                for k in range(1, K + 1)]
-        roots = [mp.sqrt(e) for e in etas]
+        roots = [mp.sqrt(cache.eta(k)) for k in range(1, K + 1)]
         g = [[mpf(0)] * K for _ in range(K)]
         for n in range(1, K + 1):
             for m in range(n, K + 1):
-                raw = _mode_integral(cache, n, m)
+                raw = _integral(cache, BasisFunction(n), m)
                 val = raw / (roots[n - 1] * roots[m - 1])
                 g[n - 1][m - 1] = val
                 g[m - 1][n - 1] = val
@@ -229,18 +219,12 @@ def riemann_lebesgue_rate(params: QParams, f, records: dict,
         q = params.q_mp()
         # integral of t |f|^2: the squared norm of t^(1/2) f
         try:
-            if isinstance(f, BasisFunction):
-                wnorm2 = _mode_integral(cache, f.n, f.n)
-            elif isinstance(f, LatticeFunction):
-                wnorm2 = mpf(0)
-                t = mpf(1)
-                for j in range(f.truncation):
-                    wnorm2 += t * t * f.value(j) ** 2
-                    t *= q
-                wnorm2 *= (1 - q)
+            value, mode, count = _read(f, cache)
+            if mode:
+                wnorm2 = _integral(cache, f, mode)
             else:
-                wnorm2 = lattice_sum(lambda j, t: t * t * mp.mpf(f(t)) ** 2,
-                                     q, ctx, 9)
+                wnorm2 = lattice_sum(lambda j, t: t * t * value(j, t) ** 2,
+                                     q, ctx, 9, n=count)
             hypothesis_ok = mp.isfinite(wnorm2)
         except (PrecisionError, OverflowError):
             wnorm2 = mp.inf
@@ -248,9 +232,8 @@ def riemann_lebesgue_rate(params: QParams, f, records: dict,
         sup_rate = mpf(0)
         prev_abs = None
         for m in m_values:
-            rec = records[m]
-            eta = eta_k(params, rec, ctx, "closed_form_nu_plus_1")
-            i_m = coefficient(params, f, rec, 1, ctx, cache=cache)
+            eta = cache.eta(m)
+            i_m = coefficient(params, f, records[m], 1, ctx, cache=cache)
             rate = abs(i_m) * q ** (-m)
             sup_rate = max(sup_rate, rate)
             envelope = (mp.sqrt(wnorm2) * mp.sqrt(eta)
@@ -302,9 +285,12 @@ class ExpansionResult:
 
 
 def expand(params: QParams, f, records: dict[int, ZeroRecord], K: int,
-           ctx: PrecisionContext, lattice_sample_count: int = 12
-           ) -> ExpansionResult:
-    """Compute eta, coefficients and lattice partial sums for f up to K modes."""
+           ctx: PrecisionContext) -> ExpansionResult:
+    """Compute eta, coefficients and lattice partial sums for f up to K modes.
+
+    eta_k is the closed form through J_(nu+1); S_K is taken at the lattice
+    points q^j, j < LATTICE_SAMPLES.
+    """
     if K > len(records):
         raise ValueError(
             f"K={K} exceeds the {len(records)} available zero records")
@@ -314,11 +300,11 @@ def expand(params: QParams, f, records: dict[int, ZeroRecord], K: int,
         etas = []
         coeffs = []
         for k in range(1, K + 1):
-            e = eta_k(params, records[k], ctx, "closed_form_nu_plus_1")
+            e = cache.eta(k)
             etas.append(e)
             coeffs.append(coefficient(params, f, records[k], e, ctx,
                                       cache=cache))
-        xs = [q ** j for j in range(lattice_sample_count)]
+        xs = [q ** j for j in range(LATTICE_SAMPLES)]
         values = partial_sum(params, coeffs, records, xs, K, ctx)
         decay = {}
         if K >= 2:

@@ -2,10 +2,11 @@
 and the L_q^2[0,1] inner product.
 
 The q-integral of f over [0,1] is the lattice sum (1-q) * sum_k f(q^k) q^k,
-so a function only matters on the geometric lattice {q^k}.  LatticeFunction
-captures exactly that support with an explicit truncation and is summed as
-a finite sum; analytic integrands go through lattice_sum, the open-ended
-lattice sum under the package's one truncation rule.
+so a function only matters on the geometric lattice {q^k}.  Every such sum
+in the package goes through lattice_sum: a LatticeFunction, which captures
+exactly that support with an explicit truncation, is summed in full over
+its samples; an analytic integrand is summed over the open-ended lattice
+under the package's one truncation rule.
 """
 
 from __future__ import annotations
@@ -183,22 +184,26 @@ def qpochhammer_multi(a_list: Sequence[Numeric], q: Numeric,
 
 
 def lattice_sum(term: Callable[[int, mpf], mpf], q: mpf,
-                ctx: PrecisionContext, min_terms: int) -> mpf:
-    """(1-q) * sum_{j>=0} term(j, q^j) over the open-ended lattice.
+                ctx: PrecisionContext, min_terms: int = 0,
+                n: int | None = None) -> mpf:
+    """(1-q) * sum_j term(j, q^j) over the lattice.
 
-    Truncated by tracked_sum's rule at 10^-(digits+10) relative to the
-    largest term or partial sum, never before min_terms terms (counted from
-    1).  Call inside ctx.workdps(10).
+    With n, the sum runs over j < n in full, zero terms included.  Without
+    it, the lattice is open-ended and the sum is truncated by tracked_sum's
+    rule at 10^-(digits+10) relative to the largest term or partial sum,
+    never before min_terms terms (counted from 1).  Call inside
+    ctx.workdps(10).
     """
     def terms():
         t = mpf(1)
         j = 0
-        while True:
+        while n is None or j < n:
             yield term(j, t)
             j += 1
             t *= q
 
-    total, _, _ = tracked_sum(terms(), ctx.digits + 10, MAX_TERMS, min_terms)
+    floor, cap = (min_terms, MAX_TERMS) if n is None else (n, n + 1)
+    total, _, _ = tracked_sum(terms(), ctx.digits + 10, cap, floor)
     return (1 - q) * total
 
 
@@ -215,13 +220,8 @@ def qintegral_01(f: LatticeFunction | Callable, ctx: PrecisionContext,
             raise BaseMismatchError(
                 f"lattice base {f.base} != integration base {q}")
         with ctx.workdps(10):
-            qv = f.base_mp()
-            total = mpf(0)
-            t = mpf(1)
-            for j in range(f.truncation):
-                total += f.value(j) * t
-                t *= qv
-            return (1 - qv) * total
+            return lattice_sum(lambda j, t: f.value(j) * t, f.base_mp(), ctx,
+                               n=f.truncation)
     if q is None:
         raise ValueError("analytic integrands require the base q")
     with ctx.workdps(10):
@@ -237,13 +237,9 @@ def inner_product(f: LatticeFunction, g: LatticeFunction,
     if not same_base(f, g):
         raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
     with ctx.workdps(10):
-        qv = f.base_mp()
-        total = mpf(0)
-        t = mpf(1)
-        for j in range(max(f.truncation, g.truncation)):
-            total += f.value(j) * g.value(j) * t
-            t *= qv
-        return (1 - qv) * total
+        return lattice_sum(lambda j, t: f.value(j) * g.value(j) * t,
+                           f.base_mp(), ctx,
+                           n=max(f.truncation, g.truncation))
 
 
 def norm_lq2(f: LatticeFunction, ctx: PrecisionContext) -> mpf:

@@ -158,6 +158,13 @@ class VerificationReport:
         return buf.getvalue()
 
 
+def _decay_rows(params, ctx, records, cache, kmax) -> list[dict]:
+    """verify_decay_bounds rows for k = 1..kmax at ctx, computed once per
+    report for derivative-decay and shifted-value-bound."""
+    return cache.memo("decay_rows", lambda: verify_decay_bounds(
+        params, range(1, kmax + 1), records, ctx)["rows"])
+
+
 def _default_theta_zero(m: int) -> mpf:
     return 1 / mp.mpf(m) ** 2
 
@@ -255,12 +262,12 @@ def _check_shifted_zeros(params, ctx, records, cache, kmax,
 def _check_derivative_decay(params, ctx, records, cache, kmax,
                             options) -> CheckResult:
     m_lo = min(4, kmax)
-    ks = range(m_lo, kmax + 1)
-    rep = verify_decay_bounds(params, ks, records, ctx)
+    rows = [r for r in _decay_rows(params, ctx, records, cache, kmax)
+            if r["k"] >= m_lo]
     ctx2 = ctx.with_digits(2 * ctx.digits)
-    rep2 = verify_decay_bounds(params, ks, records, ctx2)
+    rep2 = verify_decay_bounds(params, range(m_lo, kmax + 1), records, ctx2)
     with mp.workdps(ctx.digits):
-        sup1 = max(r["ratio_a"] for r in rep["rows"])
+        sup1 = max(r["ratio_a"] for r in rows)
         sup2 = max(r["ratio_a"] for r in rep2["rows"])
         stable = sup2 <= sup1 * (1 + mpf(10) ** (-30))
     ok = mp.isfinite(sup1) and stable
@@ -271,13 +278,12 @@ def _check_derivative_decay(params, ctx, records, cache, kmax,
         status=_status(ok), margin=sup1,
         details={"sup_ratio": sup1, "sup_ratio_doubled_digits": sup2,
                  "rows": [{"k": r["k"], "ratio_a": r["ratio_a"]}
-                          for r in rep["rows"]]})
+                          for r in rows]})
 
 
 def _check_shifted_value_bound(params, ctx, records, cache, kmax,
                                options) -> CheckResult:
-    rep = verify_decay_bounds(params, range(1, kmax + 1), records, ctx)
-    rows = rep["rows"]
+    rows = _decay_rows(params, ctx, records, cache, kmax)
     k_b = min(4, kmax)
     k_c = min(2, kmax)
     ok = (all(r["holds_b"] for r in rows if r["k"] >= k_b)
@@ -301,8 +307,7 @@ def _check_eta_decay(params, ctx, records, cache, kmax,
         q = params.q_mp()
         ratios = []
         for m in range(1, kmax + 1):
-            e = eta_k(params, records[m], ctx, "closed_form_nu_plus_1",
-                      cache)
+            e = cache.eta(m)
             ratios.append((m, e, e * q ** (-2 * m)))
         sup = max(r for _, _, r in ratios)
         arg_sup = max(ratios, key=lambda t: t[2])[0]
@@ -414,9 +419,7 @@ def _check_consistency(params, ctx, records, cache, kmax,
         # order-recurrence at the shifted zero
         worst_rec = mpf(0)
         for k in range(1, min(kmax, 8) + 1):
-            rec = records[k]
-            with mp.workdps(max(ctx.digits + 10, rec.arg_dps)):
-                z_shift = params.q_mp() * rec.j
+            z_shift = records[k].scaled(params, ctx)
             with mp.workdps(ctx.digits + 40):
                 up = QParams(params.q, params.nu_mp() + 1)
             lhs = jnu3(up, z_shift, ctx).value

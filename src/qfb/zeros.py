@@ -54,6 +54,12 @@ class ZeroRecord:
     # because those arguments land superexponentially close to other zeros.
     arg_dps: int = 0
 
+    def scaled(self, params: QParams, ctx: PrecisionContext, m: int = 1,
+               x: Numeric = 1) -> mpf:
+        """The argument q^m * j * x, formed at the precision j carries."""
+        with mp.workdps(max(ctx.digits + 10, self.arg_dps)):
+            return params.q_mp() ** m * self.j * _as_mp(x)
+
     def to_json_dict(self, digits: int = 50) -> dict:
         with mp.workdps(digits + 10):
             return {
@@ -486,11 +492,8 @@ def verify_decay_bounds(params: QParams, k_values: Iterable[int],
             rec = records[k]
             jd = abs(jnu3_derivative(params, rec.j, ctx).value)
             ratio_a = jd * q ** (k * (k + nu - 2))
-            # q*j_k lies superexponentially close to j_(k-1): form it at the
-            # precision the refined zero actually carries.
-            with mp.workdps(max(ctx.digits + 10, rec.arg_dps)):
-                z_shift = params.q_mp() * rec.j
-            j_shift = abs(jnu3(params, z_shift, ctx).value)
+            # q*j_k lies superexponentially close to j_(k-1)
+            j_shift = abs(jnu3(params, rec.scaled(params, ctx), ctx).value)
             bound_b = cq * q ** ((k + nu) * (k - 1))
             j_lattice = abs(jnu3(
                 params, (lambda kk: lambda: params.q_mp() ** (-kk + 1))(k),

@@ -22,13 +22,14 @@ GRID_IDS = [f"q={q},nu={nu}" for q, nu in GRID]
 
 
 @pytest.fixture(scope="session")
-def reports():
+def reports(zero_tables):
     cache = {}
 
     def get(q, nu):
         key = (q, nu)
         if key not in cache:
-            rep = run_checks(QParams(q, nu), CTX, kmax=12)
+            rep = run_checks(QParams(q, nu), CTX, kmax=12,
+                             records=zero_tables(q, nu))
             cache[key] = {r.check: r for r in rep.results}
         return cache[key]
 

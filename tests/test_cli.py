@@ -131,6 +131,23 @@ class TestVerify:
         assert lines[0] == "check,status,margin,threshold,anchor"
         assert lines[1].startswith("signs,pass")
 
+    def test_mode_spec_runs_riemann_lebesgue(self, capsys):
+        code, out, _ = run(["verify", "--q", "0.5", "--nu", "0",
+                            "--kmax", "3", "--digits", "40",
+                            "--check", "riemann-lebesgue", "--f", "mode:2",
+                            "--format", "json"], capsys)
+        assert code == 0
+        details = json.loads(out)["results"][0]["details"]
+        assert details["mode:2"]["sup_at"] == 2
+
+    def test_mode_beyond_kmax_exits_2(self, capsys):
+        code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
+                            "--kmax", "3", "--digits", "40",
+                            "--check", "riemann-lebesgue", "--f", "mode:4"],
+                           capsys)
+        assert code == 2
+        assert "mode:4" in err and "Traceback" not in err
+
     def test_malicious_rule_rejected(self, capsys):
         code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
                             "--check", "signs", "--digits", "40",

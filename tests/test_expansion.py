@@ -42,6 +42,11 @@ class TestEta:
                 for v in vals[1:]:
                     assert abs(v - base) <= abs(base) * mpf(10) ** -20
 
+    def test_cache_memoises_closed_form(self, records, cache):
+        e = cache.eta(2)
+        assert cache.eta(2) is e
+        assert e == eta_k(P, records[2], CTX, "closed_form_nu_plus_1")
+
     def test_unknown_method_rejected(self, records):
         with pytest.raises(ValueError):
             eta_k(P, records[1], CTX, "nope")
@@ -65,16 +70,6 @@ class TestCoefficient:
         e = eta_k(P, records[1], CTX, cache=cache)
         a = coefficient(P, lambda t: mpf(0), records[1], e, CTX, cache=cache)
         assert a == 0
-
-    def test_weighted_regroups_half_power(self, records, cache):
-        # b_k(f) moves t^(1/2) from the integrand into f: b_k(1) = a_k(t^-1/2)
-        with mp.workdps(60):
-            e = eta_k(P, records[1], CTX, cache=cache)
-            b = coefficient(P, lambda t: mpf(1), records[1], e, CTX,
-                            cache=cache, weighted=True)
-            a = coefficient(P, lambda t: 1 / mp.sqrt(t), records[1], e, CTX,
-                            cache=cache)
-            assert abs(b - a) <= abs(a) * mpf(10) ** -40
 
     def test_nonpositive_eta_rejected(self, records):
         with pytest.raises(ValueError):
@@ -136,8 +131,7 @@ class TestExpansionIdempotence:
         def f(t):
             total = mpf(0)
             for c, n in ((mpf(2), 1), (mpf("-0.5"), 3)):
-                with mp.workdps(max(CTX.digits + 10, records[n].arg_dps)):
-                    z = P.q_mp() * records[n].j * t
+                z = records[n].scaled(P, CTX, x=t)
                 total += c * jnu3(P, z, CTX).value
             return total
 

@@ -159,6 +159,14 @@ class TestQIntegral:
             assert lattice_sum(lambda j, t: mpf(j == 7), q, CTX, 9) == 1 - q
             assert lattice_sum(lambda j, t: mpf(j == 7), q, CTX, 5) == 0
 
+    def test_lattice_sum_with_n_sums_j_below_n(self):
+        # term j = 7 is in the sum for n = 8 and out of it for n = 7; the
+        # seven zero terms before it do not end the sum
+        q = mpf("0.5")
+        with CTX.workdps(10):
+            assert lattice_sum(lambda j, t: mpf(j == 7), q, CTX, n=8) == 1 - q
+            assert lattice_sum(lambda j, t: mpf(j == 7), q, CTX, n=7) == 0
+
     def test_lattice_base_mismatch_raises(self):
         lf = LatticeFunction(values=("1",), base="0.5")
         with pytest.raises(BaseMismatchError):

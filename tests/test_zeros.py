@@ -1,5 +1,8 @@
 """Zero localization, refinement, and the structural checks built on zeros."""
 
+import json
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpf
 
@@ -11,6 +14,7 @@ from qfb import (PrecisionContext, QParams, ScanExhaustedError, ZeroRecord,
 
 CTX = PrecisionContext(digits=60)
 P = QParams("0.5", "0")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,32 @@ class TestFindZero:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             find_zero(P, 0, CTX)
+
+
+class TestGoldenTables:
+    # q=0.3 brackets every zero asymptotically; q=0.8 takes scan fallbacks
+    @pytest.mark.parametrize("q,nu", [("0.3", "2.5"), ("0.8", "0")])
+    def test_kmax12_matches_golden(self, zero_tables, q, nu):
+        want = json.loads((GOLDEN / f"zeros-q{q}-nu{nu}-k12-d120.json")
+                          .read_text(encoding="utf-8"))
+        got = zero_tables(q, nu)
+        assert sorted(got) == [w["k"] for w in want["zeros"]]
+        # agreement to the refinement width of find_zero: relative
+        # 10^(-digits/2), and that fraction of the gap q*j_k - j_(k-1)
+        with mp.workdps(max(len(w["j"]) for w in want["zeros"]) + 10):
+            qv = mpf(q)
+            tol = mpf(10) ** (-mpf(want["digits"]) / 2)
+            prev = None
+            for w in want["zeros"]:
+                rec = got[w["k"]]
+                j = mpf(w["j"])
+                assert rec.asymptotic_bracket_ok == \
+                    w["asymptotic_bracket_ok"], w["k"]
+                err = abs(rec.j - j)
+                assert err <= tol * j, w["k"]
+                if prev is not None:
+                    assert err <= tol * (qv * j - prev) / qv, w["k"]
+                prev = j
 
 
 class TestCensus:
