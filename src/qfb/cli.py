@@ -99,9 +99,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _check_kmax(kmax: int, allow_large: bool) -> None:
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
+def _check_kmax(kmax: int, allow_large: bool, least: int = 0) -> None:
+    if kmax < least:
+        raise ValueError(f"kmax must be >= {least}, got {kmax}")
     if kmax > HARD_KMAX and not allow_large:
         raise ValueError(
             f"kmax={kmax} exceeds the cap {HARD_KMAX}; the cost grows like "
@@ -211,7 +211,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_kmax(args.kmax, args.allow_large_k)
+    # the checks compare neighbouring zeros, so they need two of them
+    _check_kmax(args.kmax, args.allow_large_k, least=2)
     params = QParams(args.q, args.nu)
     ctx = PrecisionContext(digits=args.digits)
     options = {"samples_per_interval": args.samples}

@@ -95,18 +95,18 @@ def tracked_sum(terms: Iterable, dps: int, max_terms: int,
     total = mpf(0)
     max_mag = mpf(0)
     cutoff_scale = mpf(10) ** (-dps)
+    cutoff = max_mag * cutoff_scale    # follows max_mag
     small_streak = 0
     n = 0
     for term in terms:
         total += term
         n += 1
         mag = abs(term)
-        if mag > max_mag:
-            max_mag = mag
         pmag = abs(total)
-        if pmag > max_mag:
-            max_mag = pmag
-        if n >= min_terms and mag <= max_mag * cutoff_scale:
+        if mag > max_mag or pmag > max_mag:
+            max_mag = mag if mag > pmag else pmag
+            cutoff = max_mag * cutoff_scale
+        if n >= min_terms and mag <= cutoff:
             small_streak += 1
             if small_streak >= 3:
                 return total, max_mag, n

@@ -5,17 +5,38 @@ All series are summed with the adaptive cancellation policy of
 qfb.precision: near z = q^(-m) the largest term grows like q^(-m^2)-scale
 powers while the value itself stays moderate, so the required working
 precision is detected and escalated automatically.
+
+Consecutive terms of the J_nu series differ by the factor z^2 r_k, with
+r_k = -p^k / ((1 - p^(nu+k)) (1 - p^k)) independent of z.  The ratios are
+kept in one table per (base, nu, precision bucket): a bucket is the ambient
+precision plus 16 guard bits, rounded up to a multiple of 64 bits, and the
+table derives p from q (or the given base) at that precision, so it is never
+coarser than the pass that reads it.  Tables grow lazily with k; together
+they hold at most RATIO_CACHE_TERMS ratios, and the oldest tables are
+dropped first.  The 1phi1 series keep their own term recurrences, so the
+two routes that `consistency` compares stay independent.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from mpmath import mp, mpf
 
 from .precision import (DivergenceError, EvalResult, PrecisionContext,
                         adaptive_sum)
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_infinite
+
+# most ratios held by all term-ratio tables together
+RATIO_CACHE_TERMS = 10_000
+# a table's precision: ambient + _GUARD_BITS, rounded up to _BUCKET_BITS
+_GUARD_BITS = 16
+_BUCKET_BITS = 64
+# ratios appended per extension of a table
+_RATIO_CHUNK = 32
+
+# (q or None, base or None, nu, bucket precision) -> _RatioTable, oldest first
+_RATIO_TABLES: dict = {}
 
 
 def _check_base(q: Numeric) -> None:
@@ -83,6 +104,46 @@ def phi11_derivative(omega: Numeric, q: Numeric, z: Numeric,
     return adaptive_sum(terms, ctx, min_terms=2)
 
 
+class _RatioTable:
+    """The term ratios r_k = -p^k / ((1 - p^(nu+k)) (1 - p^k)), k = 1, 2, ...,
+    of the J_nu series, computed at one precision and extended on demand."""
+
+    def __init__(self, p_of: Callable[[], mpf], nu: Numeric, prec: int):
+        self.prec = prec
+        with mp.workprec(prec):
+            self._p = p_of()
+            self._pk = self._p                        # p^k of the next ratio
+            self._pnuk = self._p ** (_as_mp(nu) + 1)  # p^(nu+k) of the next
+        self.ratios: list[mpf] = []
+
+    def extend(self) -> None:
+        with mp.workprec(self.prec):
+            p, pk, pnuk = self._p, self._pk, self._pnuk
+            for _ in range(_RATIO_CHUNK):
+                self.ratios.append(-pk / ((1 - pnuk) * (1 - pk)))
+                pk *= p
+                pnuk *= p
+            self._pk, self._pnuk = pk, pnuk
+        total = sum(len(t.ratios) for t in _RATIO_TABLES.values())
+        for key in list(_RATIO_TABLES):
+            if total <= RATIO_CACHE_TERMS:
+                break
+            total -= len(_RATIO_TABLES.pop(key).ratios)
+
+
+def _ratio_table(q: Numeric, base: Numeric | None, nu: Numeric,
+                 p_of: Callable[[], mpf]) -> _RatioTable:
+    """The shared table of the J_nu(z; base) series (base None: q^2) for the
+    ambient precision's bucket; p_of derives the base at the ambient
+    precision."""
+    prec = -(-(mp.prec + _GUARD_BITS) // _BUCKET_BITS) * _BUCKET_BITS
+    key = (q if base is None else None, base, nu, prec)
+    table = _RATIO_TABLES.get(key)
+    if table is None:
+        table = _RATIO_TABLES[key] = _RatioTable(p_of, nu, prec)
+    return table
+
+
 def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
                        z: Numeric, ctx: PrecisionContext,
                        derivative: bool) -> EvalResult:
@@ -94,7 +155,8 @@ def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
     power z^(nu-1).
 
     ``base=None`` means q^2, recomputed from ``q`` at the ambient precision
-    of every escalation attempt.  The base must never be pre-materialised at
+    of every escalation attempt (for the term ratios, at that attempt's
+    bucket, which is finer).  The base must never be pre-materialised at
     a fixed low precision: the huge intermediate partial sums amplify a base
     perturbation by the full cancellation ratio, which would make the final
     error independent of the working precision.  ``z`` may likewise be a
@@ -113,21 +175,20 @@ def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
         return z() if callable(z) else _as_mp(z)
 
     def terms() -> Iterator[mpf]:
-        pv = base_mp()
+        table = _ratio_table(q, base, nu, base_mp)
+        ratios = table.ratios
         nuv = _as_mp(nu)
         zv = z_mp()
         z2 = zv * zv
         term = mpf(1)
         k = 0
-        pk = pv               # p^k for k=1
-        pnuk = pv ** (nuv + 1)
-        yield term * (nuv if derivative else 1)
+        yield nuv if derivative else term
         while True:
+            if k == len(ratios):
+                table.extend()
+            term = term * z2 * ratios[k]
             k += 1
-            term *= -pk * z2 / ((1 - pnuk) * (1 - pk))
-            yield term * ((nuv + 2 * k) if derivative else 1)
-            pk *= pv
-            pnuk *= pv
+            yield term * (nuv + 2 * k) if derivative else term
 
     res = adaptive_sum(terms, ctx, min_terms=2)
     with mp.workdps(res.precision_used + 10):

@@ -22,7 +22,7 @@ from typing import Sequence
 from mpmath import mp, mpf
 
 from .precision import PrecisionContext
-from .qcore import QParams, _as_mp, qintegral_01
+from .qcore import QParams, _as_mp, qintegral_01, qpochhammer_infinite
 from .qspecial import jnu3, phi11
 from .zeros import (ZeroRecord, count_zeros_below, derivative_sign_pattern,
                     empirical_k0, verify_decay_bounds, verify_shifted_zero,
@@ -389,7 +389,6 @@ def _check_consistency(params, ctx, records, cache, kmax,
                 q2 = params.q_mp() ** 2
                 om = q2 ** (params.nu_mp() + 1)
                 zz = q2 * _as_mp(z) ** 2
-            from .qcore import qpochhammer_infinite
             phi = phi11(om, q2, zz, ctx).value
             with mp.workdps(ctx.digits + 20):
                 pref = (qpochhammer_infinite(om, q2, ctx)
@@ -410,7 +409,8 @@ def _check_consistency(params, ctx, records, cache, kmax,
         worst_eta = mpf(0)
         eta_kmax = min(kmax, 10)
         for k in range(1, eta_kmax + 1):
-            vals = [eta_k(params, records[k], ctx, m, cache)
+            vals = [cache.eta(k) if m == "closed_form_nu_plus_1"
+                    else eta_k(params, records[k], ctx, m, cache)
                     for m in ETA_METHODS]
             with mp.workdps(ctx.digits):
                 rel = max(abs(v - vals[0]) / abs(vals[0]) for v in vals[1:])

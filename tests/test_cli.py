@@ -140,6 +140,13 @@ class TestVerify:
         details = json.loads(out)["results"][0]["details"]
         assert details["mode:2"]["sup_at"] == 2
 
+    @pytest.mark.parametrize("kmax", ["0", "1"])
+    def test_kmax_below_two_exits_2(self, kmax, capsys):
+        code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
+                            "--kmax", kmax, "--digits", "40"], capsys)
+        assert code == 2
+        assert "kmax must be >= 2" in err and "Traceback" not in err
+
     def test_mode_beyond_kmax_exits_2(self, capsys):
         code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
                             "--kmax", "3", "--digits", "40",

@@ -5,12 +5,61 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
+import qfb.qspecial as qspecial
 from qfb import (DivergenceError, PrecisionContext, QParams, jnu3,
                  jnu3_derivative, phi11, phi11_derivative,
                  qpochhammer_infinite)
+from qfb.precision import EXTRA_GUARD, adaptive_sum
 
 CTX = PrecisionContext(digits=60)
+
+
+def first_pass_bucket(digits: int) -> int:
+    """Precision of the ratio table read by an evaluation's first pass."""
+    prec = dps_to_prec(digits + EXTRA_GUARD)
+    return -(-(prec + 16) // 64) * 64
+
+
+def ratio_cache_total() -> int:
+    return sum(len(t.ratios) for t in qspecial._RATIO_TABLES.values())
+
+
+def reference_jnu3(params: QParams, z, ctx: PrecisionContext,
+                   derivative: bool = False, base=None) -> mpf:
+    """J_nu(z; base) or its z-derivative by the per-pass term recurrence the
+    package used before its term-ratio table: p^k, p^(nu+k), both (1 - .)
+    factors and a division recomputed at the precision of every pass."""
+    def p_mp():
+        return params.q_mp() ** 2 if base is None else mp.mpf(base)
+
+    def z_mp():
+        return z() if callable(z) else mp.mpf(z)
+
+    def terms():
+        pv = p_mp()
+        nuv = params.nu_mp()
+        z2 = z_mp() ** 2
+        term = mpf(1)
+        k = 0
+        pk = pv
+        pnuk = pv ** (nuv + 1)
+        yield term * (nuv if derivative else 1)
+        while True:
+            k += 1
+            term *= -pk * z2 / ((1 - pnuk) * (1 - pk))
+            yield term * ((nuv + 2 * k) if derivative else 1)
+            pk *= pv
+            pnuk *= pv
+
+    res = adaptive_sum(terms, ctx, min_terms=2)
+    with mp.workdps(res.precision_used + 10):
+        pv = p_mp()
+        nuv = params.nu_mp()
+        pref = (qpochhammer_infinite(pv ** (nuv + 1), pv, ctx)
+                / qpochhammer_infinite(pv, pv, ctx))
+        return pref * z_mp() ** (nuv - 1 if derivative else nuv) * res.value
 
 
 def exact_series_oracle(p: Fraction, nu: int, z: Fraction,
@@ -51,6 +100,25 @@ class TestSeriesOracle:
             exact = exact_series_oracle(p, nu, z, 60)
             want = mpf(exact.numerator) / exact.denominator
             assert abs(series_got - want) <= abs(want) * mpf(10) ** -55
+
+    @pytest.mark.parametrize("digits", [42, 43])
+    def test_bucket_boundary_matches_exact_rational_series(self, digits):
+        # 42 and 43 digits start in different ratio-table buckets; z = 7/2
+        # sits near q^(-2) = 4, so both escalate through further buckets
+        assert first_pass_bucket(42) < first_pass_bucket(43)
+        q, nu, z = Fraction(1, 2), 1, Fraction(7, 2)
+        p = q * q
+        ctx = PrecisionContext(digits=digits)
+        with mp.workdps(digits + 30):
+            pv = mpf(p.numerator) / p.denominator
+            zv = mpf(z.numerator) / z.denominator
+            got = jnu3(QParams("0.5", nu), zv, ctx).value
+            pref = (qpochhammer_infinite(pv ** (nu + 1), pv, ctx)
+                    / qpochhammer_infinite(pv, pv, ctx))
+            series_got = got / (pref * zv ** nu)
+            exact = exact_series_oracle(p, nu, z, 60)
+            want = mpf(exact.numerator) / exact.denominator
+            assert abs(series_got - want) <= abs(want) * mpf(10) ** -digits
 
     def test_phi11_matches_exact_rational_series(self):
         # 1phi1(0; q^(nu+1); q, z) with q = 1/4, nu = 1, z = 1/3
@@ -189,3 +257,69 @@ class TestCancellationAccounting:
         b = jnu3(params, z, ctx.with_digits(80)).value
         with mp.workdps(100):
             assert abs(a - b) <= abs(b) * mpf(10) ** -35
+
+
+class TestRatioTable:
+    """The cached term ratios against the per-pass recurrence they replace."""
+
+    @pytest.mark.parametrize("digits", [42, 43])
+    @pytest.mark.parametrize("q,nu", [("0.3", "1"), ("0.5", "0"),
+                                      ("0.8", "2.5")])
+    def test_matches_recurrence_at_lattice_points(self, q, nu, digits):
+        params = QParams(q, nu)
+        ctx = PrecisionContext(digits=digits)
+        for m in (1, 4, 7):
+            def z(m=m):
+                return params.q_mp() ** (-m)
+            for fn, derivative in ((jnu3, False), (jnu3_derivative, True)):
+                got = fn(params, z, ctx).value
+                want = reference_jnu3(params, z, ctx, derivative)
+                with mp.workdps(digits + 20):
+                    assert abs(got - want) <= abs(want) * mpf(10) ** -digits
+
+    @pytest.mark.parametrize("digits", [42, 43])
+    def test_matches_recurrence_for_plain_base(self, digits):
+        params = QParams("0.6", "0.5")
+        ctx = PrecisionContext(digits=digits)
+        for z in ("0.9", "3.1", "7.3"):
+            got = jnu3(params, z, ctx, base=params.q).value
+            want = reference_jnu3(params, z, ctx, base=params.q)
+            with mp.workdps(digits + 20):
+                assert abs(got - want) <= abs(want) * mpf(10) ** -digits
+
+    def test_cache_within_bound_after_zero_table(self, zero_tables):
+        zero_tables("0.8", "0")
+        assert 0 < ratio_cache_total() <= qspecial.RATIO_CACHE_TERMS
+
+    def test_eviction_keeps_bound_and_values(self, monkeypatch):
+        params = QParams("0.5", "0")
+        ctx = PrecisionContext(digits=40)
+        points = [mpf(2) ** m for m in range(1, 9)]
+        monkeypatch.setattr(qspecial, "_RATIO_TABLES", {})
+        free = [jnu3(params, z, ctx).value for z in points]
+        monkeypatch.setattr(qspecial, "_RATIO_TABLES", {})
+        monkeypatch.setattr(qspecial, "RATIO_CACHE_TERMS", 64)
+        bounded = []
+        for z in points:
+            bounded.append(jnu3(params, z, ctx).value)
+            assert ratio_cache_total() <= 64
+        assert bounded == free
+
+
+class TestQHyperProperty:
+    @given(qi=st.integers(min_value=200, max_value=900),
+           nui=st.integers(min_value=0, max_value=300),
+           t=st.floats(min_value=0, max_value=1, exclude_min=True))
+    @settings(max_examples=40, deadline=None)
+    def test_jnu3_matches_mpmath_qhyper(self, qi, nui, t):
+        # z^nu (q^(2nu+2);q^2)_inf / (q^2;q^2)_inf
+        #     * 1phi1(0; q^(2nu+2); q^2, q^2 z^2)
+        q, nu = f"{qi / 1000:.3f}", f"{nui / 100:.2f}"
+        z = 0.05 + t * (float(q) ** -6 - 0.05)     # z in (0.05, q^-6]
+        got = jnu3(QParams(q, nu), z, PrecisionContext(digits=40)).value
+        with mp.workdps(100):       # the oracle loses up to ~25 digits
+            p = mpf(q) ** 2
+            w = p ** (mpf(nu) + 1)
+            want = (mpf(z) ** mpf(nu) * mp.qp(w, p) / mp.qp(p, p)
+                    * mp.qhyper([0], [w], p, p * mpf(z) ** 2))
+            assert abs(got - want) <= abs(want) * mpf(10) ** -38
