@@ -25,7 +25,7 @@ from .qspecial import jnu3, jnu3_derivative
 from .zeros import (ScanExhaustedError, zero_table, zero_table_to_csv,
                     zero_table_to_json)
 from .expansion import BasisFunction, expand
-from .verify import CHECK_IDS, DEFAULT_RL_FUNCTIONS, run_checks
+from .verify import CHECK_IDS, DEFAULT_RL_FUNCTIONS, GRAM_TOL, run_checks
 
 HARD_KMAX = 16
 
@@ -94,14 +94,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default=os.environ.get("QFB_DIGITS", "120"),
                    help="decimal working precision (default: QFB_DIGITS "
                         "env var or 120)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format (default csv)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _check_kmax(kmax: int, allow_large: bool, least: int = 0) -> None:
-    if kmax < least:
-        raise ValueError(f"kmax must be >= {least}, got {kmax}")
+def _check_kmax(kmax: int, allow_large: bool) -> None:
     if kmax > HARD_KMAX and not allow_large:
         raise ValueError(
             f"kmax={kmax} exceeds the cap {HARD_KMAX}; the cost grows like "
@@ -144,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra integrand for the riemann-lebesgue check: "
                          "'1', a t-expression, 'mode:N' with N <= kmax, or "
                          "a lattice JSON file")
-    pv.add_argument("--tol", default=None,
-                    help="override the Gram residual tolerance "
-                         "(decimal string, default 1e-40)")
+    pv.add_argument("--tol", default=GRAM_TOL,
+                    help="Gram residual tolerance "
+                         f"(decimal string, default {GRAM_TOL})")
     pv.add_argument("--samples", type=int, default=32,
                     help="samples per interval for sign constancy")
 
@@ -159,6 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--allow-large-k", action="store_true")
     px.add_argument("--plot-csv", default=None,
                     help="also write (x, S_K(x)) lattice samples as CSV")
+    # expand writes JSON only
+    for p in (pe, pz, pv):
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default csv)")
     return ap
 
 
@@ -167,24 +167,20 @@ def _cmd_eval(args) -> int:
     ctx = PrecisionContext(digits=args.digits)
     base = params.q if args.base_q else None
     rows = []
-    with ctx.workdps(10):
-        nu = params.nu_mp()
-        for zs in args.z:
-            zv = _as_mp(zs)
-            r = jnu3(params, zs, ctx, base=base)
-            if zv > 0 or nu >= 1:
-                d = jnu3_derivative(params, zs, ctx, base=base)
-                dval, dterms, dprec = d.value, d.terms_used, d.precision_used
-            else:
-                dval, dterms, dprec = None, None, None
-            rows.append({
-                "z": zs,
-                "J": mp.nstr(r.value, ctx.digits),
-                "J_prime": (mp.nstr(dval, ctx.digits)
-                            if dval is not None else ""),
-                "terms": r.terms_used,
-                "precision_used": max(r.precision_used, dprec or 0),
-            })
+    for zs in args.z:
+        r = jnu3(params, zs, ctx, base=base)
+        try:
+            d = jnu3_derivative(params, zs, ctx, base=base)
+        except ValueError:      # J' is undefined at zs: left blank
+            d = None
+        rows.append({
+            "z": zs,
+            "J": mp.nstr(r.value, ctx.digits),
+            "J_prime": mp.nstr(d.value, ctx.digits) if d else "",
+            "terms": r.terms_used,
+            "precision_used": max(r.precision_used,
+                                  d.precision_used if d else 0),
+        })
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.out)
     else:
@@ -211,24 +207,21 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the checks compare neighbouring zeros, so they need two of them
-    _check_kmax(args.kmax, args.allow_large_k, least=2)
+    _check_kmax(args.kmax, args.allow_large_k)
     params = QParams(args.q, args.nu)
     ctx = PrecisionContext(digits=args.digits)
-    options = {"samples_per_interval": args.samples}
-    if args.theta_zero_rule:
-        options["theta_zero_rule"] = _rule_from_expr(args.theta_zero_rule,
-                                                     "m")
-    if args.theta_inf_rule:
-        options["theta_inf_rule"] = _rule_from_expr(args.theta_inf_rule, "m")
-    if args.tol:
-        with mp.workdps(60):
-            options["gram_tol"] = mp.mpf(args.tol)
+    theta_zero, theta_inf = (_rule_from_expr(expr, "m") if expr else None
+                             for expr in (args.theta_zero_rule,
+                                          args.theta_inf_rule))
+    with mp.workdps(60):
+        gram_tol = mp.mpf(args.tol)
+    rl_functions = DEFAULT_RL_FUNCTIONS
     if args.f:
-        f = _resolve_f(args.f, args.kmax)
-        options["rl_functions"] = [*DEFAULT_RL_FUNCTIONS, (args.f, f)]
-    report = run_checks(params, ctx, kmax=args.kmax,
-                        check_ids=args.check, **options)
+        rl_functions += ((args.f, _resolve_f(args.f, args.kmax)),)
+    report = run_checks(params, ctx, kmax=args.kmax, check_ids=args.check,
+                        theta_zero_rule=theta_zero, theta_inf_rule=theta_inf,
+                        samples_per_interval=args.samples, gram_tol=gram_tol,
+                        rl_functions=rl_functions)
     if args.format == "json":
         _emit(report.to_json(digits=40), args.out)
     else:

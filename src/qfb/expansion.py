@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Sequence
 from mpmath import mp, mpf
 
 from .precision import PrecisionContext, PrecisionError
-from .qcore import LatticeFunction, Numeric, QParams, _as_mp, lattice_sum
+from .qcore import (BaseMismatchError, LatticeFunction, Numeric, QParams,
+                    _as_mp, lattice_sum, same_base)
 from .zeros import ZeroRecord
 from .qspecial import jnu3, jnu3_derivative
 
@@ -82,10 +83,17 @@ def _read(f, cache: ModeCache) -> tuple[Callable[[int, mpf], mpf], int,
                                         int | None]:
     """f on the lattice as (value at (j, q^j), mode index or 0, sample count
     or None): a LatticeFunction by index, a BasisFunction from the cache, a
-    callable at the lattice point."""
+    callable at the lattice point.  A LatticeFunction must be sampled on the
+    cache's base q, and a BasisFunction's mode must have a zero record."""
     if isinstance(f, LatticeFunction):
+        if not same_base(f, cache.params.q):
+            raise BaseMismatchError(
+                f"lattice base {f.base} != expansion base {cache.params.q}")
         return (lambda j, t: f.value(j)), 0, f.truncation
     if isinstance(f, BasisFunction):
+        if f.n not in cache.records:
+            raise ValueError(f"mode {f.n} has no zero record (the table "
+                             f"holds k in {sorted(cache.records)})")
         return (lambda j, t: cache.value(f.n, j)), f.n, None
     return (lambda j, t: mp.mpf(f(t))), 0, None
 

@@ -217,7 +217,8 @@ def jnu3(params: QParams, z: Numeric, ctx: PrecisionContext,
     a zero-argument callable producing the argument at the ambient precision;
     use that form for arguments superexponentially close to a zero.
     """
-    _check_base(params.q if base is None else base)
+    if base is not None:       # QParams already holds 0 < q < 1
+        _check_base(base)
     with mp.workdps(50):
         nuv = params.nu_mp()
         zv = z() if callable(z) else _as_mp(z)
@@ -233,7 +234,8 @@ def jnu3(params: QParams, z: Numeric, ctx: PrecisionContext,
 def jnu3_derivative(params: QParams, z: Numeric, ctx: PrecisionContext,
                     base: Numeric | None = None) -> EvalResult:
     """z-derivative of J_nu(z; base), by term-by-term differentiation."""
-    _check_base(params.q if base is None else base)
+    if base is not None:       # QParams already holds 0 < q < 1
+        _check_base(base)
     with mp.workdps(50):
         nuv = params.nu_mp()
         zv = z() if callable(z) else _as_mp(z)

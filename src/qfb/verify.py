@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
 from .precision import PrecisionContext
-from .qcore import QParams, _as_mp, qintegral_01, qpochhammer_infinite
+from .qcore import (Numeric, QParams, _as_mp, qintegral_01,
+                    qpochhammer_infinite)
 from .qspecial import jnu3, phi11
 from .zeros import (ZeroRecord, count_zeros_below, derivative_sign_pattern,
                     empirical_k0, verify_decay_bounds, verify_shifted_zero,
@@ -90,9 +91,6 @@ DEFAULT_RL_FUNCTIONS = (
     ("1", lambda t: mpf(1)),
     ("t^(-1/4)", lambda t: t ** (-mpf(1) / 4)),
 )
-# the settings run_checks forwards to the individual checks
-OPTIONS = frozenset({"theta_zero_rule", "theta_inf_rule",
-                     "samples_per_interval", "gram_tol", "rl_functions"})
 
 
 @dataclass
@@ -173,13 +171,18 @@ def _default_theta_inf(m: int) -> mpf:
     return 1 / mp.sqrt(m)
 
 
-def _status(ok: bool) -> str:
-    return "pass" if ok else "fail"
+def _result(check: str, params: QParams, ok: bool, own_params: dict,
+            findings: dict) -> CheckResult:
+    """The envelope every check shares (its id, anchor, q, nu and status)
+    around what the check returns: (ok, its own parameters, its findings,
+    i.e. the margin, threshold and details fields)."""
+    return CheckResult(
+        check=check, anchor=ANCHORS[check],
+        params={"q": str(params.q), "nu": str(params.nu), **own_params},
+        status="pass" if ok else "fail", **findings)
 
 
-def _check_signs(params, ctx, records, cache, kmax, options) -> CheckResult:
-    theta_zero = options.get("theta_zero_rule") or _default_theta_zero
-    theta_inf = options.get("theta_inf_rule") or _default_theta_inf
+def _check_signs(params, ctx, records, cache, kmax, theta_zero, theta_inf):
     tables = {}
     thresholds = {}
     # m starts at 2: the default rules m^(-2) and m^(-1/2) hit theta = 1
@@ -195,37 +198,28 @@ def _check_signs(params, ctx, records, cache, kmax, options) -> CheckResult:
                 for t in thresholds.values())
     ok = all(t is not None and t <= ASYMPTOTIC_THRESHOLD
              for t in thresholds.values())
-    return CheckResult(
-        check="signs", anchor=ANCHORS["signs"],
-        params={"q": str(params.q), "nu": str(params.nu), "m_max": kmax},
-        status=_status(ok), threshold=worst,
+    return ok, {"m_max": kmax}, dict(
+        threshold=worst,
         details={"thresholds": thresholds,
                  "rows": {k: [{"m": r["m"], "observed": r["observed"],
                                "predicted": r["predicted"]} for r in v]
                           for k, v in tables.items()}})
 
 
-def _check_sign_constancy(params, ctx, records, cache, kmax,
-                          options) -> CheckResult:
-    samples = int(options.get("samples_per_interval", 32))
+def _check_sign_constancy(params, ctx, records, cache, kmax, samples):
     m_lo = 2
     rep = verify_sign_constancy(params, range(m_lo, kmax + 1), ctx,
                                 samples_per_interval=samples)
     ok = (all(r["constant"] for r in rep["rows"])
           and rep["adjacent_alternating"])
-    return CheckResult(
-        check="sign-constancy", anchor=ANCHORS["sign-constancy"],
-        params={"q": str(params.q), "nu": str(params.nu),
-                "m_range": [m_lo, kmax], "samples": samples},
-        status=_status(ok),
+    return ok, {"m_range": [m_lo, kmax], "samples": samples}, dict(
         details={"rows": [{"m": r["m"], "constant": r["constant"],
                            "sign": r["sign"]} for r in rep["rows"]],
                  "adjacent_alternating": rep["adjacent_alternating"],
                  "skipped": rep["skipped"]})
 
 
-def _check_shifted_zeros(params, ctx, records, cache, kmax,
-                         options) -> CheckResult:
+def _check_shifted_zeros(params, ctx, records, cache, kmax):
     recs = [records[k] for k in range(1, kmax + 1)]
     k0 = empirical_k0(recs)
     with mp.workdps(60):
@@ -247,10 +241,8 @@ def _check_shifted_zeros(params, ctx, records, cache, kmax,
           and increasing
           and margin > 0
           and (expected is None or census == expected))
-    return CheckResult(
-        check="shifted-zeros", anchor=ANCHORS["shifted-zeros"],
-        params={"q": str(params.q), "nu": str(params.nu), "k_max": kmax},
-        status=_status(ok), margin=margin, threshold=k0,
+    return ok, {"k_max": kmax}, dict(
+        margin=margin, threshold=k0,
         details={"k0": k0, "census_below_q^-6": census,
                  "table_count_below_q^-6": expected,
                  "rows": [{"k": r["k"], "holds": r["holds"],
@@ -259,8 +251,7 @@ def _check_shifted_zeros(params, ctx, records, cache, kmax,
                           for r in rows]})
 
 
-def _check_derivative_decay(params, ctx, records, cache, kmax,
-                            options) -> CheckResult:
+def _check_derivative_decay(params, ctx, records, cache, kmax):
     m_lo = min(4, kmax)
     rows = [r for r in _decay_rows(params, ctx, records, cache, kmax)
             if r["k"] >= m_lo]
@@ -271,38 +262,30 @@ def _check_derivative_decay(params, ctx, records, cache, kmax,
         sup2 = max(r["ratio_a"] for r in rep2["rows"])
         stable = sup2 <= sup1 * (1 + mpf(10) ** (-30))
     ok = mp.isfinite(sup1) and stable
-    return CheckResult(
-        check="derivative-decay", anchor=ANCHORS["derivative-decay"],
-        params={"q": str(params.q), "nu": str(params.nu),
-                "m_range": [m_lo, kmax]},
-        status=_status(ok), margin=sup1,
+    return ok, {"m_range": [m_lo, kmax]}, dict(
+        margin=sup1,
         details={"sup_ratio": sup1, "sup_ratio_doubled_digits": sup2,
                  "rows": [{"k": r["k"], "ratio_a": r["ratio_a"]}
                           for r in rows]})
 
 
-def _check_shifted_value_bound(params, ctx, records, cache, kmax,
-                               options) -> CheckResult:
+def _check_shifted_value_bound(params, ctx, records, cache, kmax):
     rows = _decay_rows(params, ctx, records, cache, kmax)
     k_b = min(4, kmax)
-    k_c = min(2, kmax)
     ok = (all(r["holds_b"] for r in rows if r["k"] >= k_b)
-          and all(r["holds_c"] for r in rows if r["k"] >= k_c)
+          and all(r["holds_c"] for r in rows if r["k"] >= 2)
           and all(r["holds_d"] for r in rows if r["k"] >= k_b))
     with mp.workdps(ctx.digits):
         margin = min((r["bound_b"] - r["shifted_value"]) / r["bound_b"]
                      for r in rows if r["k"] >= k_b)
-    return CheckResult(
-        check="shifted-value-bound", anchor=ANCHORS["shifted-value-bound"],
-        params={"q": str(params.q), "nu": str(params.nu), "k_max": kmax},
-        status=_status(ok), margin=margin,
+    return ok, {"k_max": kmax}, dict(
+        margin=margin,
         details={"rows": [{"k": r["k"], "holds_b": r["holds_b"],
                            "holds_c": r["holds_c"], "holds_d": r["holds_d"]}
                           for r in rows]})
 
 
-def _check_eta_decay(params, ctx, records, cache, kmax,
-                     options) -> CheckResult:
+def _check_eta_decay(params, ctx, records, cache, kmax):
     with ctx.workdps(10):
         q = params.q_mp()
         ratios = []
@@ -315,41 +298,34 @@ def _check_eta_decay(params, ctx, records, cache, kmax,
         # the ratio sequence converges to a positive constant from below, so
         # boundedness is operationalized as tail stabilization: the last
         # increment must be negligible against the plateau value
-        tail_stable = (len(ratios) >= 2 and
-                       abs(ratios[-1][2] - ratios[-2][2])
+        tail_stable = (abs(ratios[-1][2] - ratios[-2][2])
                        <= ratios[-1][2] * mpf(10) ** (-10))
     ok = (positive and mp.isfinite(sup)
           and (arg_sup <= ASYMPTOTIC_THRESHOLD or tail_stable))
-    return CheckResult(
-        check="eta-decay", anchor=ANCHORS["eta-decay"],
-        params={"q": str(params.q), "nu": str(params.nu), "m_max": kmax},
-        status=_status(ok), margin=sup, threshold=arg_sup,
+    return ok, {"m_max": kmax}, dict(
+        margin=sup, threshold=arg_sup,
         details={"rows": [{"m": m, "eta": e, "eta_q^-2m": r}
                           for m, e, r in ratios]})
 
 
-def _check_gram(params, ctx, records, cache, kmax, options) -> CheckResult:
+def _check_gram(params, ctx, records, cache, kmax, tol):
     K = min(GRAM_SIZE, kmax)
     g = gram_matrix(params, records, K, ctx, cache)
     with mp.workdps(ctx.digits):
         resid = max(abs(g[i][j] - (1 if i == j else 0))
                     for i in range(K) for j in range(K))
-        tol = _as_mp(options.get("gram_tol", GRAM_TOL))
+        tol = _as_mp(tol)
     ok = resid < tol
-    return CheckResult(
-        check="gram", anchor=ANCHORS["gram"],
-        params={"q": str(params.q), "nu": str(params.nu), "K": K},
-        status=_status(ok), margin=resid,
+    return ok, {"K": K}, dict(
+        margin=resid,
         details={"max_abs_G_minus_I": resid, "tolerance": tol})
 
 
-def _check_riemann_lebesgue(params, ctx, records, cache, kmax,
-                            options) -> CheckResult:
-    fs = options.get("rl_functions", DEFAULT_RL_FUNCTIONS)
+def _check_riemann_lebesgue(params, ctx, records, cache, kmax, functions):
     per_f = {}
     ok = True
     sups = []
-    for name, f in fs:
+    for name, f in functions:
         rep = riemann_lebesgue_rate(params, f, records,
                                     range(1, kmax + 1), ctx, cache)
         with mp.workdps(ctx.digits):
@@ -366,16 +342,12 @@ def _check_riemann_lebesgue(params, ctx, records, cache, kmax,
             "rows": [{"m": r["m"], "rate": r["rate"],
                       "cs_holds": r["cs_holds"]} for r in rep["rows"]],
         }
-    return CheckResult(
-        check="riemann-lebesgue", anchor=ANCHORS["riemann-lebesgue"],
-        params={"q": str(params.q), "nu": str(params.nu), "m_max": kmax,
-                "functions": [name for name, _ in fs]},
-        status=_status(ok), margin=max(sups),
-        details=per_f)
+    return ok, {"m_max": kmax,
+                "functions": [name for name, _ in functions]}, dict(
+        margin=max(sups), details=per_f)
 
 
-def _check_consistency(params, ctx, records, cache, kmax,
-                       options) -> CheckResult:
+def _check_consistency(params, ctx, records, cache, kmax):
     details = {}
     with ctx.workdps(10):
         q = params.q_mp()
@@ -433,10 +405,7 @@ def _check_consistency(params, ctx, records, cache, kmax,
               and worst_int < _as_mp(INTEGRAL_TOL)
               and worst_eta < tol_eta and worst_rec < tol_eta)
         margin = max(worst_route, worst_eta, worst_rec)
-    return CheckResult(
-        check="consistency", anchor=ANCHORS["consistency"],
-        params={"q": str(params.q), "nu": str(params.nu), "k_max": kmax},
-        status=_status(ok), margin=margin, details=details)
+    return ok, {"k_max": kmax}, dict(margin=margin, details=details)
 
 
 _CHECK_FUNCS = {
@@ -457,28 +426,49 @@ _NEEDS_ZEROS = frozenset(CHECK_IDS) - {"signs", "sign-constancy"}
 
 def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
                check_ids: Sequence[str] | None = None,
-               records: dict[int, ZeroRecord] | None = None,
-               **options) -> VerificationReport:
+               records: dict[int, ZeroRecord] | None = None, *,
+               theta_zero_rule: Callable[[int], Numeric] | None = None,
+               theta_inf_rule: Callable[[int], Numeric] | None = None,
+               samples_per_interval: int = 32,
+               gram_tol: Numeric = GRAM_TOL,
+               rl_functions: Sequence[tuple] = DEFAULT_RL_FUNCTIONS,
+               ) -> VerificationReport:
     """Run the named checks (all of them by default) and collect a report.
 
-    ``options`` are forwarded to individual checks: theta_zero_rule,
-    theta_inf_rule, samples_per_interval, gram_tol and rl_functions.
+    kmax must be at least 2, because the checks compare neighbouring zeros;
+    ``records`` (k -> ZeroRecord for k = 1..kmax) skips the zero table.
+    The keywords are the checks' settings:
+
+    - theta_zero_rule, theta_inf_rule: m -> theta_m for the signs check,
+      with m*theta_m -> 0 and -> infinity (None: 1/m^2 and 1/sqrt(m));
+    - samples_per_interval: J' samples per interval for sign-constancy;
+    - gram_tol: the largest accepted |G - I| entry of the gram check;
+    - rl_functions: (name, f) integrands of the riemann-lebesgue check,
+      each a callable on (0,1], a LatticeFunction over base q or a
+      BasisFunction.
     """
-    unknown = sorted(set(options) - OPTIONS)
-    if unknown:
-        raise TypeError(f"unknown run_checks options: {', '.join(unknown)}")
+    if kmax < 2:
+        raise ValueError(f"kmax must be >= 2, got {kmax}")
     ids = list(check_ids) if check_ids else list(CHECK_IDS)
     for cid in ids:
         if cid not in _CHECK_FUNCS:
             raise ValueError(
                 f"unknown check {cid!r}; known: {', '.join(CHECK_IDS)}")
+    settings = {
+        "signs": {"theta_zero": theta_zero_rule or _default_theta_zero,
+                  "theta_inf": theta_inf_rule or _default_theta_inf},
+        "sign-constancy": {"samples": samples_per_interval},
+        "gram": {"tol": gram_tol},
+        "riemann-lebesgue": {"functions": rl_functions},
+    }
     cache = None
     if records is None and any(cid in _NEEDS_ZEROS for cid in ids):
         records = {r.k: r for r in zero_table(params, kmax, ctx)}
     if records is not None:
         cache = ModeCache(params, records, ctx)
     results = [
-        _CHECK_FUNCS[cid](params, ctx, records, cache, kmax, options)
+        _result(cid, params, *_CHECK_FUNCS[cid](
+            params, ctx, records, cache, kmax, **settings.get(cid, {})))
         for cid in sorted(ids)
     ]
     return VerificationReport(results=results)

@@ -30,11 +30,10 @@ SCAN_RATIO = mpf(1) + mpf(1) / 1000   # no two zeros share a cell for k <= 12
 class ScanExhaustedError(RuntimeError):
     """No sign change found on the scanned grid."""
 
-    def __init__(self, message, grid_lo=None, grid_hi=None, points=None):
+    def __init__(self, message, grid_lo=None, grid_hi=None):
         super().__init__(message)
         self.grid_lo = grid_lo
         self.grid_hi = grid_hi
-        self.points = points
 
 
 @dataclass
@@ -213,8 +212,7 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
 
 
 def find_zero(params: QParams, k: int, ctx: PrecisionContext,
-              prev_zero: mpf | None = None,
-              bracket: tuple | None = None) -> ZeroRecord:
+              prev_zero: mpf | None = None) -> ZeroRecord:
     """Bisect the k-th zero.
 
     The bracket is first narrowed to relative width 10^(-digits/2).  When
@@ -225,23 +223,16 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
     closed forms actually consume.  The working precision for the bracket
     arithmetic and the sign queries grows with the shrinking relative width.
     """
-    if bracket is None:
-        lo, hi = bracket_zero(params, k, ctx, prev_zero)
-    else:
-        lo, hi = bracket
-
-    tol_rel = None
+    # the endpoints are kept verbatim: bracket_zero may have materialised
+    # them at far more digits than work_dps, and rounding one would move it
+    # across the zero it brackets.
+    lo, hi = bracket_lo, bracket_hi = bracket_zero(params, k, ctx, prev_zero)
     work_dps = ctx.digits + 40
     max_iters = 6000
     iters = 0
     with mp.workdps(work_dps):
-        # mpf endpoints are kept verbatim: bracket_zero may have materialised
-        # them at far more digits than work_dps, and rounding here would move
-        # an endpoint across the zero it brackets.
-        lo = lo if isinstance(lo, mpf) else _as_mp(lo)
-        hi = hi if isinstance(hi, mpf) else _as_mp(hi)
-        bracket_lo, bracket_hi = lo, hi
         q = params.q_mp()
+        tol_rel = mpf(10) ** (-mpf(ctx.digits) / 2)
         if prev_zero is None:
             prev = None
         else:
@@ -256,8 +247,6 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
         with mp.workdps(work_dps):
             width = hi - lo
             mid = (lo + hi) / 2
-            if tol_rel is None:
-                tol_rel = mpf(10) ** (-mpf(ctx.digits) / 2)
             done = width <= tol_rel * mid
             if done and prev is not None:
                 gap = q * mid - prev

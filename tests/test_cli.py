@@ -63,6 +63,19 @@ class TestEval:
         assert code == code2 == 0
         assert json.loads(out)[0]["J"] != json.loads(out2)[0]["J"]
 
+    @pytest.mark.parametrize("nu, parity", [("2", 1), ("1", -1)])
+    def test_negative_z_integer_nu(self, nu, parity, capsys):
+        # J_nu(-z) = (-1)^nu J_nu(z); J' is evaluated on z >= 0 only
+        code, out, _ = run(["eval", "--q", "0.5", "--nu", nu, "--z", "-1",
+                            "--z", "1", "--digits", "40",
+                            "--format", "json"], capsys)
+        assert code == 0
+        neg, pos = json.loads(out)
+        with mp.workdps(50):
+            assert mpf(neg["J"]) == parity * mpf(pos["J"])
+        assert neg["J_prime"] == ""
+        assert pos["J_prime"] != ""
+
 
 class TestZeros:
     def test_kmax_zero_empty_table_exit_zero(self, capsys):
@@ -155,6 +168,18 @@ class TestVerify:
         assert code == 2
         assert "mode:4" in err and "Traceback" not in err
 
+    def test_lattice_function_on_another_base_exits_2(self, tmp_path,
+                                                      capsys):
+        lf = LatticeFunction.from_callable(lambda t: t, "0.5", 30, digits=40)
+        path = tmp_path / "f.json"
+        path.write_text(lf.to_json(), encoding="utf-8")
+        code, _, err = run(["verify", "--q", "0.8", "--nu", "0",
+                            "--kmax", "3", "--digits", "40",
+                            "--check", "riemann-lebesgue", "--f", str(path)],
+                           capsys)
+        assert code == 2
+        assert "base" in err and "Traceback" not in err
+
     def test_malicious_rule_rejected(self, capsys):
         code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
                             "--check", "signs", "--digits", "40",
@@ -200,6 +225,24 @@ class TestExpand:
         with mp.workdps(50):
             for j in range(lf.truncation):
                 assert abs(back.value(j) - lf.value(j)) < mpf(10) ** -35
+
+    def test_lattice_function_on_another_base_exits_2(self, tmp_path,
+                                                      capsys):
+        lf = LatticeFunction.from_callable(lambda t: t, "0.5", 30, digits=40)
+        path = tmp_path / "f.json"
+        path.write_text(lf.to_json(), encoding="utf-8")
+        code, _, err = run(["expand", "--q", "0.8", "--nu", "0", "--K", "2",
+                            "--f", str(path), "--digits", "40"], capsys)
+        assert code == 2
+        assert "base" in err and "Traceback" not in err
+
+    def test_format_not_offered(self, capsys):
+        # expand writes JSON only
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "--q", "0.5", "--nu", "0", "--K", "1",
+                  "--f", "1", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_plot_csv_written(self, tmp_path, capsys):
         plot = tmp_path / "plot.csv"

@@ -5,9 +5,10 @@ import json
 import pytest
 from mpmath import mp, mpf
 
-from qfb import (BasisFunction, LatticeFunction, ModeCache, PrecisionContext,
-                 QParams, coefficient, eta_k, expand, gram_matrix, jnu3,
-                 partial_sum, qintegral_01, riemann_lebesgue_rate)
+from qfb import (BaseMismatchError, BasisFunction, LatticeFunction, ModeCache,
+                 PrecisionContext, QParams, coefficient, eta_k, expand,
+                 gram_matrix, jnu3, partial_sum, qintegral_01,
+                 riemann_lebesgue_rate, run_checks)
 
 CTX = PrecisionContext(digits=50)
 P = QParams("0.5", "0")
@@ -84,6 +85,24 @@ class TestCoefficient:
                                  cache=cache)
             # truncation at j=40: tail is below q^40 ~ 1e-12 of the value
             assert abs(a_lat - a_call) <= abs(a_call) * mpf(10) ** -10
+
+
+    def test_lattice_function_on_another_base_rejected(self, records, cache):
+        lf = LatticeFunction(values=("1",) * 40, base="0.8")
+        with pytest.raises(BaseMismatchError):
+            coefficient(P, lf, records[1], 1, CTX, cache=cache)
+        with pytest.raises(BaseMismatchError):
+            expand(P, lf, records, 2, CTX)
+
+    def test_mode_beyond_zero_table_rejected(self, records, cache):
+        f = BasisFunction(5)
+        with pytest.raises(ValueError, match="mode 5"):
+            coefficient(P, f, records[1], 1, CTX, cache=cache)
+        with pytest.raises(ValueError, match="mode 5"):
+            expand(P, f, records, 2, CTX)
+        with pytest.raises(ValueError, match="mode 5"):
+            run_checks(P, CTX, kmax=4, check_ids=["riemann-lebesgue"],
+                       records=records, rl_functions=[("mode:5", f)])
 
 
 class TestBesselInequality:
