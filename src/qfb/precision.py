@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from mpmath import mp, mpf
+from mpmath.libmp import normalize
 
 
 class PrecisionError(ArithmeticError):
@@ -82,40 +83,79 @@ class EvalResult:
 
 def tracked_sum(terms: Iterable, dps: int, max_terms: int,
                 min_terms: int = 4) -> tuple[mpf, mpf, int]:
-    """Sum a term stream at the ambient precision, tracking magnitudes.
+    """Sum a stream of finite mpf terms, tracking magnitudes.
 
     The package's one truncation rule, shared by the adaptive series passes
     and the open-ended lattice sums (qcore.lattice_sum): once at least
     min_terms terms are in, stop after three consecutive terms below
     max_magnitude * 10^(-dps), where max_magnitude is the largest term or
     partial sum so far; the trailing small terms are kept in the sum.
+
+    The sum is exact: each term's mantissa is added into one Python int,
+    and the result is rounded once, at the ambient precision.  Magnitudes
+    are compared by binary exponent, and exactly where the exponents tie.
     Returns (value, max_magnitude, terms_used).  Must be called inside
     mp.workdps.
     """
-    total = mpf(0)
-    max_mag = mpf(0)
-    cutoff_scale = mpf(10) ** (-dps)
-    cutoff = max_mag * cutoff_scale    # follows max_mag
+    prec, rnd = mp._prec_rounding
+    scale = 10 ** dps               # |t| <= top * 10^-dps  <=>  |t| scale <= top
+    scale_bits = scale.bit_length()
+    acc = acc_exp = 0               # the partial sum, exactly acc * 2^acc_exp
+    top_man = top_exp = 0           # max_magnitude, exactly top_man * 2^top_exp
+    top = None                      # 2^(top-1) <= max_magnitude < 2^top
     small_streak = 0
     n = 0
     for term in terms:
-        total += term
+        sign, man, exp, bc = term._mpf_
         n += 1
-        mag = abs(term)
-        pmag = abs(total)
-        if mag > max_mag or pmag > max_mag:
-            max_mag = mag if mag > pmag else pmag
-            cutoff = max_mag * cutoff_scale
-        if n >= min_terms and mag <= cutoff:
+        if man:
+            signed = -man if sign else man
+            if exp >= acc_exp:
+                acc += signed << (exp - acc_exp)
+            else:
+                acc = (acc << (acc_exp - exp)) + signed
+                acc_exp = exp
+            mag = exp + bc          # 2^(mag-1) <= |term| < 2^mag
+            if top is None or mag > top or (
+                    mag == top and _exceeds(man, exp, top_man, top_exp)):
+                top_man, top_exp, top = man, exp, mag
+            pmag = acc_exp + acc.bit_length()
+            if pmag > top or (pmag == top and _exceeds(
+                    abs(acc), acc_exp, top_man, top_exp)):
+                top_man, top_exp, top = abs(acc), acc_exp, pmag
+            # |term| scale lies in [2^(mag+scale_bits-2), 2^(mag+scale_bits))
+            small = mag + scale_bits < top or (
+                mag + scale_bits - 2 < top
+                and not _exceeds(man * scale, exp, top_man, top_exp))
+        else:
+            small = True            # a zero term is below any cutoff
+        if small and n >= min_terms:
             small_streak += 1
             if small_streak >= 3:
-                return total, max_mag, n
+                break
         else:
             small_streak = 0
         if n >= max_terms:
             raise PrecisionError(
                 f"series cap of {max_terms} terms exhausted")
-    return total, max_mag, n
+    value = mp.make_mpf(raw_mpf(acc, acc_exp, prec, rnd))
+    max_mag = mp.make_mpf(raw_mpf(top_man, top_exp, prec, rnd))
+    return value, max_mag, n
+
+
+def _exceeds(a_man: int, a_exp: int, b_man: int, b_exp: int) -> bool:
+    """a_man 2^a_exp > b_man 2^b_exp, for mantissas >= 0."""
+    if a_exp >= b_exp:
+        return a_man << (a_exp - b_exp) > b_man
+    return a_man > b_man << (b_exp - a_exp)
+
+
+def raw_mpf(man: int, exp: int, prec: int, rnd: str) -> tuple:
+    """The normalised raw mpf (an mpf's _mpf_ tuple) of man * 2^exp, for a
+    signed integer man, rounded once to prec bits in direction rnd."""
+    if man < 0:
+        return normalize(1, -man, exp, man.bit_length(), prec, rnd)
+    return normalize(0, man, exp, man.bit_length(), prec, rnd)
 
 
 def adaptive_sum(make_terms: Callable[[], Iterable], ctx: PrecisionContext,

@@ -140,6 +140,9 @@ def qpochhammer_finite(a: Numeric, q: Numeric, n: int,
         return prod
 
 
+# most products held by _POCH_CACHE; the oldest are dropped first
+POCH_CACHE_ENTRIES = 512
+# (a, q, precision) -> (a;q)_inf, oldest first
 _POCH_CACHE: dict = {}
 
 
@@ -149,6 +152,8 @@ def qpochhammer_infinite(a: Numeric, q: Numeric,
 
     The dropped tail satisfies |log prod_{i>=n}(1-a q^i)| <= ~|a| q^n/(1-q),
     so the truncation criterion bounds the relative error by series_tol/(1-q).
+    Products are memoised per (a, q, precision), at most POCH_CACHE_ENTRIES
+    of them.
     """
     with ctx.workdps(10):
         av = _as_mp(a)
@@ -170,6 +175,8 @@ def qpochhammer_infinite(a: Numeric, q: Numeric,
             if n > MAX_TERMS:
                 raise PrecisionError("q-Pochhammer product cap exhausted")
         _POCH_CACHE[key] = prod
+        while len(_POCH_CACHE) > POCH_CACHE_ENTRIES:
+            del _POCH_CACHE[next(iter(_POCH_CACHE))]
         return prod
 
 

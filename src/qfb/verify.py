@@ -25,8 +25,9 @@ from .precision import PrecisionContext
 from .qcore import (Numeric, QParams, _as_mp, qintegral_01,
                     qpochhammer_infinite)
 from .qspecial import jnu3, phi11
-from .zeros import (ZeroRecord, count_zeros_below, derivative_sign_pattern,
-                    empirical_k0, verify_decay_bounds, verify_shifted_zero,
+from .zeros import (ZeroRecord, _check_samples, _theta_value,
+                    count_zeros_below, derivative_sign_pattern, empirical_k0,
+                    verify_decay_bounds, verify_shifted_zero,
                     verify_sign_constancy, zero_table)
 from .expansion import (ModeCache, ETA_METHODS, eta_k, gram_matrix,
                         riemann_lebesgue_rate)
@@ -437,6 +438,8 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
 
     kmax must be at least 2, because the checks compare neighbouring zeros;
     ``records`` (k -> ZeroRecord for k = 1..kmax) skips the zero table.
+    A setting that a selected check rejects raises ValueError before any
+    work.
     The keywords are the checks' settings:
 
     - theta_zero_rule, theta_inf_rule: m -> theta_m for the signs check,
@@ -461,6 +464,14 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
         "gram": {"tol": gram_tol},
         "riemann-lebesgue": {"functions": rl_functions},
     }
+    # settings a selected check would reject only after the zero table
+    if "sign-constancy" in ids:
+        _check_samples(samples_per_interval)
+    if "signs" in ids:
+        with ctx.workdps(10):
+            for rule in settings["signs"].values():
+                for m in range(2, kmax + 1):
+                    _theta_value(rule, m)
     cache = None
     if records is None and any(cid in _NEEDS_ZEROS for cid in ids):
         records = {r.k: r for r in zero_table(params, kmax, ctx)}

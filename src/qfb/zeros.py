@@ -361,6 +361,11 @@ def _theta_value(theta_rule: Callable[[int], Numeric], m: int) -> mpf:
     return th
 
 
+def _check_samples(samples_per_interval: int) -> None:
+    if samples_per_interval < 1:
+        raise ValueError("need at least one sample per interval")
+
+
 def derivative_sign_pattern(params: QParams, m_values: Iterable[int],
                             theta_rule: Callable[[int], Numeric],
                             ctx: PrecisionContext,
@@ -422,8 +427,7 @@ def verify_sign_constancy(params: QParams, m_values: Iterable[int],
     [0,1) (alpha_m >= 1 happens pre-asymptotically for q near 1 at small m,
     where the "interval" would span several zeros) are reported as skipped.
     """
-    if samples_per_interval < 1:
-        raise ValueError("need at least one sample per interval")
+    _check_samples(samples_per_interval)
     rows = []
     skipped = []
     with ctx.workdps(10):

@@ -160,6 +160,17 @@ class TestVerify:
         assert code == 2
         assert "kmax must be >= 2" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--samples", "0", "need at least one sample per interval"),
+        ("--theta-zero-rule", "2", "theta_m must lie in [0,1)"),
+    ])
+    def test_bad_check_setting_exits_2(self, option, value, message, capsys):
+        code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
+                            "--kmax", "8", "--digits", "80", option, value],
+                           capsys)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
     def test_mode_beyond_kmax_exits_2(self, capsys):
         code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
                             "--kmax", "3", "--digits", "40",

@@ -10,6 +10,7 @@ from qfb import (BaseMismatchError, LatticeFunction, PrecisionContext,
                  QParams, inner_product, norm_lq2, qintegral_01,
                  qpochhammer_finite, qpochhammer_infinite, qpochhammer_multi,
                  same_base)
+import qfb.qcore as qcore
 from qfb.qcore import lattice_sum
 
 CTX = PrecisionContext(digits=60)
@@ -94,6 +95,23 @@ class TestPochhammerInfinite:
         from qfb import DivergenceError
         with pytest.raises(DivergenceError):
             qpochhammer_infinite("0.5", "1.0", CTX)
+
+
+class TestPochhammerCache:
+    def test_within_bound_after_zero_table(self, zero_tables):
+        zero_tables("0.8", "0")
+        assert 0 < len(qcore._POCH_CACHE) <= qcore.POCH_CACHE_ENTRIES
+
+    def test_eviction_keeps_bound_and_values(self, monkeypatch):
+        monkeypatch.setattr(qcore, "_POCH_CACHE", {})
+        monkeypatch.setattr(qcore, "POCH_CACHE_ENTRIES", 2)
+        first = [qpochhammer_infinite(a, "0.5", CTX)
+                 for a in ("0.1", "0.2", "0.3")]
+        assert len(qcore._POCH_CACHE) == 2
+        again = qpochhammer_infinite("0.1", "0.5", CTX)   # was evicted
+        assert again is not first[0]
+        assert again._mpf_ == first[0]._mpf_
+        assert len(qcore._POCH_CACHE) == 2
 
 
 class TestQParams:

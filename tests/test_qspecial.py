@@ -306,6 +306,112 @@ class TestRatioTable:
         assert bounded == free
 
 
+class TestFixedPointPass:
+    """The fixed-point series pass against the mpf recurrence it replaced,
+    at escalated precisions, tiny arguments and one near q^(-14)."""
+
+    @pytest.mark.parametrize("digits", [160, 260])
+    @pytest.mark.parametrize("q,nu", [("0.3", "0"), ("0.3", "1.5"),
+                                      ("0.8", "0"), ("0.8", "1.5")])
+    def test_matches_recurrence(self, q, nu, digits):
+        # with nu = 0 every term of the J' series is of size z^2 or below;
+        # at z = 1e-100 a pass scaled to 1 would keep too few of its digits
+        params = QParams(q, nu)
+        ctx = PrecisionContext(digits=digits)
+        for z in ("1e-30", "1e-100", lambda: params.q_mp() ** -14):
+            for fn, derivative in ((jnu3, False), (jnu3_derivative, True)):
+                got = fn(params, z, ctx).value
+                want = reference_jnu3(params, z, ctx, derivative)
+                with mp.workdps(digits + 20):
+                    assert abs(got - want) <= abs(want) * mpf(10) ** -digits
+
+    def test_ratios_are_exact(self):
+        with mp.workprec(300):
+            table = qspecial._ratio_table("0.7", None, "0.5",
+                                          lambda: mpf("0.7") ** 2)
+            if not table.ratios:
+                table.extend()
+        with mp.workprec(table.prec):
+            p = mpf("0.7") ** 2
+            pk, pnuk = p, p ** mpf("1.5")
+            for man, shift in table.ratios[:40]:
+                assert shift >= 0
+                assert mpf((man, -shift)) == -pk / ((1 - pnuk) * (1 - pk))
+                pk *= p
+                pnuk *= p
+
+
+def direct_prefactor(p, nu, ctx):
+    """(p^(nu+1);p)_inf / (p;p)_inf straight from qpochhammer_infinite."""
+    with ctx.workdps(10):
+        pv = mp.mpf(p)
+        return (qpochhammer_infinite(pv ** (mp.mpf(nu) + 1), pv, ctx)
+                / qpochhammer_infinite(pv, pv, ctx))
+
+
+class TestPrefactorMemo:
+    def test_buckets_target_and_serves_lower_targets(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(qspecial, "_PREFACTORS", memo)
+        params = QParams("0.3", "1.5")
+        key = ("0.3", None, "1.5")
+
+        def prefactor(digits):
+            return qspecial._prefactor("0.3", None, "1.5", params.base_mp,
+                                       PrecisionContext(digits))
+
+        # target 10^-70 is 233 bits, bucketed to 256 bits = 77 digits
+        got = prefactor(60)
+        assert memo[key][0] == 77
+        with mp.workdps(90):
+            want = direct_prefactor(mpf("0.09"), "1.5", PrecisionContext(60))
+            assert abs(got - want) <= abs(want) * mpf(10) ** -65
+
+        def no_product(*args):
+            raise AssertionError("prefactor recomputed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qspecial, "qpochhammer_infinite", no_product)
+            assert prefactor(40) is got
+        got = prefactor(100)                      # 110 digits -> 384 bits
+        assert memo[key][0] == 115
+        with mp.workdps(130):
+            want = direct_prefactor(mpf("0.09"), "1.5", PrecisionContext(100))
+            assert abs(got - want) <= abs(want) * mpf(10) ** -105
+
+    def test_exact_target_where_bucket_passes_factor_cap(self, monkeypatch):
+        # at p = 0.999 the bucketed 10^-96 would take ~221,000 factors, past
+        # MAX_TERMS; the exact 10^-78 takes ~180,000
+        monkeypatch.setattr(qspecial, "_PREFACTORS", {})
+        ctx = PrecisionContext(68)
+        got = qspecial._prefactor("0.999", "0.999", "0.5",
+                                  lambda: mpf("0.999"), ctx)
+        assert qspecial._PREFACTORS[(None, "0.999", "0.5")][0] == 78
+        assert got == direct_prefactor("0.999", "0.5", ctx)
+
+    def test_eviction_keeps_bound_and_values(self, monkeypatch):
+        monkeypatch.setattr(qspecial, "_PREFACTORS", {})
+        monkeypatch.setattr(qspecial, "PREFACTOR_CACHE_ENTRIES", 2)
+        params = QParams("0.5", "0")
+        ctx = PrecisionContext(40)
+
+        def prefactor(nu):
+            return qspecial._prefactor("0.5", None, nu, params.base_mp, ctx)
+
+        first = [prefactor(nu) for nu in ("0.5", "1", "1.5")]
+        assert list(qspecial._PREFACTORS) == [("0.5", None, "1"),
+                                              ("0.5", None, "1.5")]
+        again = prefactor("0.5")
+        assert again is not first[0]
+        assert again._mpf_ == first[0]._mpf_
+        assert len(qspecial._PREFACTORS) == 2
+
+    def test_within_bound_after_zero_table(self, zero_tables):
+        zero_tables("0.8", "0")
+        assert 0 < len(qspecial._PREFACTORS) \
+            <= qspecial.PREFACTOR_CACHE_ENTRIES
+
+
 class TestQHyperProperty:
     @given(qi=st.integers(min_value=200, max_value=900),
            nui=st.integers(min_value=0, max_value=300),
