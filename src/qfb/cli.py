@@ -39,18 +39,27 @@ def _rule_from_expr(expr: str, var: str) -> Callable:
     """Compile a one-variable arithmetic expression (e.g. '1/m**2').
 
     Evaluated with an empty builtin namespace; only the loop variable and a
-    small set of mpmath functions are visible.
+    small set of mpmath functions are visible.  An expression that does not
+    parse, or that fails or is not real at some value, raises ValueError.
     """
-    code = compile(expr, f"<{var}-rule>", "eval")
+    try:
+        code = compile(expr, f"<{var}-rule>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"rule {expr!r} does not parse: {exc.msg}") from None
     for name in code.co_names:
         if name != var and name not in _SAFE_FUNCS:
             raise ValueError(
                 f"rule {expr!r} uses unknown name {name!r}; allowed: "
                 f"{var}, {', '.join(_SAFE_FUNCS)}")
 
-    def rule(value):
-        return eval(code, {"__builtins__": {}},
-                    {var: mp.mpf(value), **_SAFE_FUNCS})
+    def rule(value) -> mpf:
+        try:
+            return mp.mpf(eval(code, {"__builtins__": {}},
+                               {var: mp.mpf(value), **_SAFE_FUNCS}))
+        except (ArithmeticError, TypeError) as exc:
+            raise ValueError(
+                f"rule {expr!r} fails at {var}={value}: "
+                f"{str(exc) or type(exc).__name__}") from None
     return rule
 
 

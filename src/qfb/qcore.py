@@ -109,6 +109,10 @@ class LatticeFunction:
     @classmethod
     def from_json(cls, text: str) -> "LatticeFunction":
         payload = json.loads(text)
+        if not isinstance(payload, dict) or "q" not in payload \
+                or not isinstance(payload.get("values"), list):
+            raise ValueError("lattice JSON must be an object with a base "
+                             "\"q\" and a list of \"values\"")
         values = tuple(payload["values"])
         if payload.get("N") is not None and payload["N"] != len(values):
             raise ValueError("declared N does not match number of samples")

@@ -7,23 +7,23 @@ powers while the value itself stays moderate, so the required working
 precision is detected and escalated automatically.
 
 Consecutive terms of the J_nu series differ by the factor z^2 r_k, with
-r_k = -p^k / ((1 - p^(nu+k)) (1 - p^k)) independent of z.  The ratios are
-kept in one table per (base, nu, precision bucket): a bucket is the ambient
-precision plus 16 guard bits, rounded up to a multiple of 64 bits, and the
-table derives p from q (or the given base) at that precision, so it is never
-coarser than the pass that reads it.  Tables grow lazily with k; together
-they hold at most RATIO_CACHE_TERMS ratios, and the oldest tables are
-dropped first.  A J series pass runs in Python-int fixed point over the
-table's integer mantissas.  The prefactor (p^(nu+1);p)_inf/(p;p)_inf is
-memoised per (base, nu), at most PREFACTOR_CACHE_ENTRIES of them.  The
-1phi1 series keep their own mpf term recurrences, so the two routes that
+r_k = -p^k / ((1 - p^(nu+k)) (1 - p^k)) independent of z.  What the series
+reuses across calls lives in one record per (base, nu): its ratios, in one
+table per precision bucket, and its prefactor (p^(nu+1);p)_inf/(p;p)_inf.
+A bucket is the ambient precision plus 16 guard bits, rounded up to a
+multiple of 64 bits; its table derives p from q (or the given base) at that
+precision, so it is never coarser than the pass that reads it.  Tables grow
+lazily with k; all records together hold at most RATIO_CACHE_TERMS ratios,
+and the oldest records are dropped first.  A J series pass runs in
+Python-int fixed point over the tables' integer mantissas.  The 1phi1
+series keep their own mpf term recurrences, so the two routes that
 `consistency` compares stay independent.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 from mpmath import mp, mpf
 
@@ -31,7 +31,7 @@ from .precision import (MAX_TERMS, DivergenceError, EvalResult,
                         PrecisionContext, adaptive_sum, raw_mpf)
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_infinite
 
-# most ratios held by all term-ratio tables together
+# most ratios held by all series records together
 RATIO_CACHE_TERMS = 10_000
 # bits above the ambient precision carried by a ratio table (before it is
 # rounded up to _BUCKET_BITS) and by a fixed-point series pass
@@ -39,32 +39,26 @@ _GUARD_BITS = 16
 _BUCKET_BITS = 64
 # ratios appended per extension of a table
 _RATIO_CHUNK = 32
-# most prefactors held, one per (base, nu)
-PREFACTOR_CACHE_ENTRIES = 64
 _LOG2_10 = math.log2(10)
 
-# (q or None, base or None, nu, bucket precision) -> _RatioTable, oldest first
-_RATIO_TABLES: dict = {}
-# (q or None, base or None, nu) -> (digits, prefactor), oldest first
-_PREFACTORS: dict = {}
+# (q or None, base or None, nu) -> _Series, oldest first
+_SERIES: dict = {}
 
 
-def _check_base(q: Numeric) -> None:
+def _check_base(q: Numeric, omega: Numeric = 0) -> None:
+    """0 < q < 1 (else DivergenceError) and 0 <= omega < 1."""
     with mp.workdps(50):
-        qv = _as_mp(q)
-        if not (0 < qv < 1):
+        if not (0 < _as_mp(q) < 1):
             raise DivergenceError(f"base must satisfy 0 < q < 1, got {q}")
+        if not (0 <= _as_mp(omega) < 1):
+            raise ValueError(f"omega must lie in [0,1), got {omega}")
 
 
 def phi11(omega: Numeric, q: Numeric, z: Numeric,
           ctx: PrecisionContext) -> EvalResult:
     """1phi1(0; omega; q, z) = sum_k (-1)^k q^(k(k-1)/2) z^k
     / ((omega;q)_k (q;q)_k), for 0 <= omega < 1 and 0 < q < 1."""
-    _check_base(q)
-    with mp.workdps(50):
-        ov = _as_mp(omega)
-        if not (0 <= ov < 1):
-            raise ValueError(f"omega must lie in [0,1), got {omega}")
+    _check_base(q, omega)
 
     def terms() -> Iterator[mpf]:
         qv = _as_mp(q)
@@ -88,11 +82,7 @@ def phi11(omega: Numeric, q: Numeric, z: Numeric,
 def phi11_derivative(omega: Numeric, q: Numeric, z: Numeric,
                      ctx: PrecisionContext) -> EvalResult:
     """d/dz of 1phi1(0; omega; q, z), summed term by term."""
-    _check_base(q)
-    with mp.workdps(50):
-        ov = _as_mp(omega)
-        if not (0 <= ov < 1):
-            raise ValueError(f"omega must lie in [0,1), got {omega}")
+    _check_base(q, omega)
 
     def terms() -> Iterator[mpf]:
         qv = _as_mp(q)
@@ -114,33 +104,84 @@ def phi11_derivative(omega: Numeric, q: Numeric, z: Numeric,
     return adaptive_sum(terms, ctx, min_terms=2)
 
 
-class _RatioTable:
-    """The term ratios r_k = -p^k / ((1 - p^(nu+k)) (1 - p^k)), k = 1, 2, ...,
-    of the J_nu series, computed at one precision and extended on demand.
-    Each ratio is kept as _fixed_factor's (mantissa, shift) of its mpf."""
+def _round_up(bits: int) -> int:
+    return -(-bits // _BUCKET_BITS) * _BUCKET_BITS
 
-    def __init__(self, p_of: Callable[[], mpf], nu: Numeric, prec: int):
-        self.prec = prec
+
+class _Series:
+    """What every J_nu(z; p) evaluation for one (q, base, nu) reuses, p
+    being the base or, for base None, q^2: ``tables`` maps a precision
+    bucket to the ratios r_k = -p^k / ((1 - p^(nu+k)) (1 - p^k)),
+    k = 1, 2, ..., at that precision, each as _fixed_factor's (mantissa,
+    shift) of its mpf; ``pref`` is the prefactor as (digits, value)."""
+
+    def __init__(self, q: Numeric | None, base: Numeric | None,
+                 nu: Numeric):
+        self.q, self.base, self.nu = q, base, nu
+        self.tables: dict[int, list[tuple[int, int]]] = {}
+        self._next: dict[int, tuple] = {}   # bucket -> (p, p^k, p^(nu+k))
+        self.pref: tuple[int, mpf | None] = (0, None)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.tables.values()))
+
+    def p(self) -> mpf:
+        """The base at the ambient precision."""
+        return _as_mp(self.q) ** 2 if self.base is None else _as_mp(self.base)
+
+    def ratios(self, n: int) -> list[tuple[int, int]]:
+        """The table of the ambient precision's bucket with n ratios or
+        more, n at most one past its length.  A short table is extended in
+        place by _RATIO_CHUNK ratios; then the oldest records are dropped
+        until all of them hold RATIO_CACHE_TERMS ratios or fewer."""
+        prec = _round_up(mp.prec + _GUARD_BITS)
+        table = self.tables.setdefault(prec, [])
+        if len(table) >= n:
+            return table
         with mp.workprec(prec):
-            self._p = p_of()
-            self._pk = self._p                        # p^k of the next ratio
-            self._pnuk = self._p ** (_as_mp(nu) + 1)  # p^(nu+k) of the next
-        self.ratios: list[tuple[int, int]] = []
-
-    def extend(self) -> None:
-        with mp.workprec(self.prec):
-            p, pk, pnuk = self._p, self._pk, self._pnuk
+            if not table:
+                p = self.p()
+                self._next[prec] = (p, p, p ** (_as_mp(self.nu) + 1))
+            p, pk, pnuk = self._next[prec]
             for _ in range(_RATIO_CHUNK):
-                self.ratios.append(
-                    _fixed_factor(-pk / ((1 - pnuk) * (1 - pk))))
+                table.append(_fixed_factor(-pk / ((1 - pnuk) * (1 - pk))))
                 pk *= p
                 pnuk *= p
-            self._pk, self._pnuk = pk, pnuk
-        total = sum(len(t.ratios) for t in _RATIO_TABLES.values())
-        for key in list(_RATIO_TABLES):
+            self._next[prec] = (p, pk, pnuk)
+        total = sum(map(len, _SERIES.values()))
+        for key in list(_SERIES):
             if total <= RATIO_CACHE_TERMS:
                 break
-            total -= len(_RATIO_TABLES.pop(key).ratios)
+            total -= len(_SERIES.pop(key))
+        return table
+
+    def prefactor(self, ctx: PrecisionContext) -> mpf:
+        """(p^(nu+1);p)_inf / (p;p)_inf to 10^-(ctx.digits + 10) or better.
+
+        The stored value serves every request whose target it meets.  A new
+        value is computed for the target rounded up to a multiple of
+        _BUCKET_BITS bits, unless that would take more than MAX_TERMS
+        factors (q near 1); then for the exact target.
+        """
+        target = ctx.digits + 10
+        if self.pref[0] >= target:
+            return self.pref[1]
+        bits = _round_up(math.ceil(target * _LOG2_10))
+        digits = max(target, int(bits / _LOG2_10))
+        with mp.workdps(30):
+            log_p = math.log10(self.p())
+            power = min(1.0, float(_as_mp(self.nu)) + 1)
+        # factors of the longer product, (a;p)_inf with a = p^min(1, nu+1)
+        if (digits + power * log_p) / -log_p >= MAX_TERMS:
+            digits = target
+        with mp.workdps(digits):
+            pv = self.p()
+            pctx = PrecisionContext(digits - 10)
+            value = (qpochhammer_infinite(pv ** (_as_mp(self.nu) + 1), pv,
+                                          pctx)
+                     / qpochhammer_infinite(pv, pv, pctx))
+        self.pref = (digits, value)
+        return value
 
 
 def _fixed_factor(x: mpf) -> tuple[int, int]:
@@ -152,62 +193,15 @@ def _fixed_factor(x: mpf) -> tuple[int, int]:
     return (man << exp, 0) if exp > 0 else (man, -exp)
 
 
-def _ratio_table(q: Numeric, base: Numeric | None, nu: Numeric,
-                 p_of: Callable[[], mpf]) -> _RatioTable:
-    """The shared table of the J_nu(z; base) series (base None: q^2) for the
-    ambient precision's bucket; p_of derives the base at the ambient
-    precision."""
-    prec = -(-(mp.prec + _GUARD_BITS) // _BUCKET_BITS) * _BUCKET_BITS
-    key = (q if base is None else None, base, nu, prec)
-    table = _RATIO_TABLES.get(key)
-    if table is None:
-        table = _RATIO_TABLES[key] = _RatioTable(p_of, nu, prec)
-    return table
-
-
-def _prefactor(q: Numeric, base: Numeric | None, nu: Numeric,
-               p_of: Callable[[], mpf], ctx: PrecisionContext) -> mpf:
-    """(p^(nu+1);p)_inf / (p;p)_inf to 10^-(ctx.digits + 10) or better.
-
-    One value is memoised per (base, nu) and serves every request whose
-    target it meets.  A new value is computed for the target rounded up to
-    a multiple of _BUCKET_BITS bits, unless that would take more than
-    MAX_TERMS factors (q near 1); then for the exact target.
-    """
-    key = (q if base is None else None, base, nu)
-    target = ctx.digits + 10
-    hit = _PREFACTORS.get(key)
-    if hit is not None and hit[0] >= target:
-        return hit[1]
-    bits = -(-math.ceil(target * _LOG2_10) // _BUCKET_BITS) * _BUCKET_BITS
-    digits = max(target, int(bits / _LOG2_10))
-    with mp.workdps(30):
-        log_p = math.log10(p_of())
-        power = min(1.0, float(_as_mp(nu)) + 1)
-    # factors of the longer product, (a;p)_inf with a = p^min(1, nu+1)
-    if (digits + power * log_p) / -log_p >= MAX_TERMS:
-        digits = target
-    with mp.workdps(digits):
-        pv = p_of()
-        pctx = PrecisionContext(digits - 10)
-        value = (qpochhammer_infinite(pv ** (_as_mp(nu) + 1), pv, pctx)
-                 / qpochhammer_infinite(pv, pv, pctx))
-    _PREFACTORS.pop(key, None)
-    _PREFACTORS[key] = (digits, value)
-    while len(_PREFACTORS) > PREFACTOR_CACHE_ENTRIES:
-        del _PREFACTORS[next(iter(_PREFACTORS))]
-    return value
-
-
-def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
-                       z: Numeric, ctx: PrecisionContext,
-                       derivative: bool) -> EvalResult:
+def _evaluate(params: QParams, z: Numeric, ctx: PrecisionContext,
+              base: Numeric | None, derivative: bool) -> EvalResult:
     """Shared evaluator for J_nu(z; base) and its z-derivative.
 
     J_nu(z;p) = z^nu * (p^(nu+1);p)_inf/(p;p)_inf
                 * sum_k (-1)^k p^(k(k+1)/2) z^(2k) / ((p^(nu+1);p)_k (p;p)_k)
     and the derivative series carries the extra factor (nu + 2k) with the
-    power z^(nu-1).
+    power z^(nu-1).  Both are defined at z < 0 for integer nu only, and at
+    z = 0 for nu >= 0 (J) or nu >= 1 (J').
 
     A series pass runs in fixed point: the bare term t_k (t_0 = 1) is the
     integer t times 2^u, with u = min(0, e) - prec - _GUARD_BITS and
@@ -227,18 +221,29 @@ def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
     superexponentially smaller than the local derivative and a fixed-precision
     argument would dominate the result.
     """
-
-    def base_mp() -> mpf:
-        if base is None:
-            return _as_mp(q) ** 2
-        return _as_mp(base)
+    if base is not None:       # QParams already holds 0 < q < 1
+        _check_base(base)
+    nu = params.nu
 
     def z_mp() -> mpf:
         return z() if callable(z) else _as_mp(z)
 
+    with mp.workdps(50):
+        nuv = params.nu_mp()
+        zv = z_mp()
+        if zv < 0 and nuv != mp.floor(nuv):
+            raise ValueError(
+                f"z < 0 requires integer nu (got z={z}, nu={nu})")
+        lowest = 1 if derivative else 0
+        if zv == 0 and nuv < lowest:
+            raise ValueError(f"z = 0 is singular for nu < {lowest}")
+    key = (params.q if base is None else None, base, nu)
+    if key not in _SERIES:
+        _SERIES[key] = _Series(*key)
+    series = _SERIES[key]
+
     def terms() -> Iterator[mpf]:
-        table = _ratio_table(q, base, nu, base_mp)
-        ratios = table.ratios
+        ratios = series.ratios(1)
         prec, rnd = mp._prec_rounding
         make_mpf = mp.make_mpf
         nuv = _as_mp(nu)
@@ -247,8 +252,6 @@ def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
         zman, zshift = _fixed_factor(z2)
         lead = 0
         if derivative:
-            if not ratios:
-                table.extend()
             rman, rshift = ratios[0]
             y1 = (nuv + 2) * z2 * mpf((rman, -rshift))
             _, man, exp, bc = max(abs(nuv), abs(y1))._mpf_
@@ -259,7 +262,7 @@ def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
         yield nuv if derivative else mpf(1)
         while True:
             if k == len(ratios):
-                table.extend()
+                series.ratios(k + 1)
             rman, rshift = ratios[k]
             k += 1
             t = (t * zman >> zshift) * rman >> rshift
@@ -267,7 +270,7 @@ def _jnu_series_result(nu: Numeric, base: Numeric | None, q: Numeric,
             yield term * (nuv + 2 * k) if derivative else term
 
     res = adaptive_sum(terms, ctx, min_terms=2)
-    pref = _prefactor(q, base, nu, base_mp, ctx)
+    pref = series.prefactor(ctx)
     with mp.workdps(res.precision_used + 10):
         nuv = _as_mp(nu)
         zv = z_mp()
@@ -291,31 +294,10 @@ def jnu3(params: QParams, z: Numeric, ctx: PrecisionContext,
     a zero-argument callable producing the argument at the ambient precision;
     use that form for arguments superexponentially close to a zero.
     """
-    if base is not None:       # QParams already holds 0 < q < 1
-        _check_base(base)
-    with mp.workdps(50):
-        nuv = params.nu_mp()
-        zv = z() if callable(z) else _as_mp(z)
-        if zv < 0 and nuv != mp.floor(nuv):
-            raise ValueError(
-                f"z < 0 requires integer nu (got z={z}, nu={params.nu})")
-        if zv == 0 and nuv < 0:
-            raise ValueError("z = 0 is singular for nu < 0")
-    return _jnu_series_result(params.nu, base, params.q, z, ctx,
-                              derivative=False)
+    return _evaluate(params, z, ctx, base, derivative=False)
 
 
 def jnu3_derivative(params: QParams, z: Numeric, ctx: PrecisionContext,
                     base: Numeric | None = None) -> EvalResult:
     """z-derivative of J_nu(z; base), by term-by-term differentiation."""
-    if base is not None:       # QParams already holds 0 < q < 1
-        _check_base(base)
-    with mp.workdps(50):
-        nuv = params.nu_mp()
-        zv = z() if callable(z) else _as_mp(z)
-        if zv < 0:
-            raise ValueError("derivative is evaluated on z >= 0 only")
-        if zv == 0 and nuv < 1:
-            raise ValueError("derivative is singular at z = 0 for nu < 1")
-    return _jnu_series_result(params.nu, base, params.q, z, ctx,
-                              derivative=True)
+    return _evaluate(params, z, ctx, base, derivative=True)

@@ -63,9 +63,9 @@ class TestEval:
         assert code == code2 == 0
         assert json.loads(out)[0]["J"] != json.loads(out2)[0]["J"]
 
-    @pytest.mark.parametrize("nu, parity", [("2", 1), ("1", -1)])
+    @pytest.mark.parametrize("nu, parity", [("2", 1), ("1", -1), ("0", 1)])
     def test_negative_z_integer_nu(self, nu, parity, capsys):
-        # J_nu(-z) = (-1)^nu J_nu(z); J' is evaluated on z >= 0 only
+        # J_nu(-z) = (-1)^nu J_nu(z) and J'_nu(-z) = (-1)^(nu-1) J'_nu(z)
         code, out, _ = run(["eval", "--q", "0.5", "--nu", nu, "--z", "-1",
                             "--z", "1", "--digits", "40",
                             "--format", "json"], capsys)
@@ -73,8 +73,7 @@ class TestEval:
         neg, pos = json.loads(out)
         with mp.workdps(50):
             assert mpf(neg["J"]) == parity * mpf(pos["J"])
-        assert neg["J_prime"] == ""
-        assert pos["J_prime"] != ""
+            assert mpf(neg["J_prime"]) == -parity * mpf(pos["J_prime"])
 
 
 class TestZeros:
@@ -199,6 +198,15 @@ class TestVerify:
         assert code == 2
         assert "unknown name" in err
 
+    @pytest.mark.parametrize("rule", ["1/", "sqrt(-m)", "m/0"])
+    def test_malformed_rule_exits_2(self, rule, capsys):
+        code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
+                            "--kmax", "3", "--digits", "40", "--check",
+                            "signs", "--theta-zero-rule", rule], capsys)
+        assert code == 2
+        assert err.startswith("qfb verify: error: rule ")
+        assert err.count("\n") == 1
+
 
 class TestExpand:
     def test_constant_function_json(self, capsys):
@@ -246,6 +254,25 @@ class TestExpand:
                             "--f", str(path), "--digits", "40"], capsys)
         assert code == 2
         assert "base" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("f", ["t**", "1/(t-t)"])
+    def test_malformed_expression_exits_2(self, f, capsys):
+        code, _, err = run(["expand", "--q", "0.5", "--nu", "0", "--K", "2",
+                            "--digits", "40", "--f", f], capsys)
+        assert code == 2
+        assert err.startswith("qfb expand: error: rule ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", ['{"q": "0.5"}', "[1, 2]",
+                                         '{"q": "0.5", "values": 3}'])
+    def test_malformed_lattice_json_exits_2(self, payload, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(payload, encoding="utf-8")
+        code, _, err = run(["expand", "--q", "0.5", "--nu", "0", "--K", "2",
+                            "--digits", "40", "--f", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("qfb expand: error: lattice JSON ")
+        assert err.count("\n") == 1
 
     def test_format_not_offered(self, capsys):
         # expand writes JSON only

@@ -205,6 +205,13 @@ class TestLatticeFunction:
         with pytest.raises(ValueError):
             LatticeFunction.from_json('{"q": "0.5", "N": 3, "values": ["1"]}')
 
+    @pytest.mark.parametrize("payload", ['{"q": "0.5"}', '{"values": ["1"]}',
+                                         "[1, 2]", '"0.5"',
+                                         '{"q": "0.5", "values": 3}'])
+    def test_malformed_payload_rejected(self, payload):
+        with pytest.raises(ValueError, match="lattice JSON"):
+            LatticeFunction.from_json(payload)
+
     def test_zero_beyond_truncation(self):
         lf = LatticeFunction(values=("7",), base="0.5")
         assert lf.value(5) == 0

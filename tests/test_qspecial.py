@@ -23,7 +23,7 @@ def first_pass_bucket(digits: int) -> int:
 
 
 def ratio_cache_total() -> int:
-    return sum(len(t.ratios) for t in qspecial._RATIO_TABLES.values())
+    return sum(map(len, qspecial._SERIES.values()))
 
 
 def reference_jnu3(params: QParams, z, ctx: PrecisionContext,
@@ -221,6 +221,14 @@ class TestSpecialValuesAndValidation:
         with mp.workdps(60):
             assert abs(v + w) <= abs(w) * mpf(10) ** -50
 
+    @pytest.mark.parametrize("fn", [jnu3, jnu3_derivative])
+    def test_negative_z_rejected_for_non_integer_nu(self, fn, monkeypatch):
+        monkeypatch.setattr(qspecial, "_SERIES", {})
+        for nu, z in (("0.5", "-1"), ("2.5", lambda: mpf(-3))):
+            with pytest.raises(ValueError, match="integer nu"):
+                fn(QParams("0.5", nu), z, CTX)
+        assert qspecial._SERIES == {}     # no record for a rejected call
+
     def test_derivative_rejects_singular_origin(self):
         with pytest.raises(ValueError):
             jnu3_derivative(QParams("0.5", "0.5"), 0, CTX)
@@ -295,9 +303,9 @@ class TestRatioTable:
         params = QParams("0.5", "0")
         ctx = PrecisionContext(digits=40)
         points = [mpf(2) ** m for m in range(1, 9)]
-        monkeypatch.setattr(qspecial, "_RATIO_TABLES", {})
+        monkeypatch.setattr(qspecial, "_SERIES", {})
         free = [jnu3(params, z, ctx).value for z in points]
-        monkeypatch.setattr(qspecial, "_RATIO_TABLES", {})
+        monkeypatch.setattr(qspecial, "_SERIES", {})
         monkeypatch.setattr(qspecial, "RATIO_CACHE_TERMS", 64)
         bounded = []
         for z in points:
@@ -326,15 +334,16 @@ class TestFixedPointPass:
                     assert abs(got - want) <= abs(want) * mpf(10) ** -digits
 
     def test_ratios_are_exact(self):
+        series = qspecial._Series("0.7", None, "0.5")
         with mp.workprec(300):
-            table = qspecial._ratio_table("0.7", None, "0.5",
-                                          lambda: mpf("0.7") ** 2)
-            if not table.ratios:
-                table.extend()
-        with mp.workprec(table.prec):
+            series.ratios(1)
+            series.ratios(33)               # a second chunk
+        (prec, ratios), = series.tables.items()
+        assert prec == 320 and len(ratios) == 64
+        with mp.workprec(prec):
             p = mpf("0.7") ** 2
             pk, pnuk = p, p ** mpf("1.5")
-            for man, shift in table.ratios[:40]:
+            for man, shift in ratios[:40]:
                 assert shift >= 0
                 assert mpf((man, -shift)) == -pk / ((1 - pnuk) * (1 - pk))
                 pk *= p
@@ -351,18 +360,14 @@ def direct_prefactor(p, nu, ctx):
 
 class TestPrefactorMemo:
     def test_buckets_target_and_serves_lower_targets(self, monkeypatch):
-        memo = {}
-        monkeypatch.setattr(qspecial, "_PREFACTORS", memo)
-        params = QParams("0.3", "1.5")
-        key = ("0.3", None, "1.5")
+        series = qspecial._Series("0.3", None, "1.5")
 
         def prefactor(digits):
-            return qspecial._prefactor("0.3", None, "1.5", params.base_mp,
-                                       PrecisionContext(digits))
+            return series.prefactor(PrecisionContext(digits))
 
         # target 10^-70 is 233 bits, bucketed to 256 bits = 77 digits
         got = prefactor(60)
-        assert memo[key][0] == 77
+        assert series.pref[0] == 77
         with mp.workdps(90):
             want = direct_prefactor(mpf("0.09"), "1.5", PrecisionContext(60))
             assert abs(got - want) <= abs(want) * mpf(10) ** -65
@@ -374,42 +379,50 @@ class TestPrefactorMemo:
             patch.setattr(qspecial, "qpochhammer_infinite", no_product)
             assert prefactor(40) is got
         got = prefactor(100)                      # 110 digits -> 384 bits
-        assert memo[key][0] == 115
+        assert series.pref[0] == 115
         with mp.workdps(130):
             want = direct_prefactor(mpf("0.09"), "1.5", PrecisionContext(100))
             assert abs(got - want) <= abs(want) * mpf(10) ** -105
 
-    def test_exact_target_where_bucket_passes_factor_cap(self, monkeypatch):
+    def test_exact_target_where_bucket_passes_factor_cap(self):
         # at p = 0.999 the bucketed 10^-96 would take ~221,000 factors, past
         # MAX_TERMS; the exact 10^-78 takes ~180,000
-        monkeypatch.setattr(qspecial, "_PREFACTORS", {})
+        series = qspecial._Series(None, "0.999", "0.5")
         ctx = PrecisionContext(68)
-        got = qspecial._prefactor("0.999", "0.999", "0.5",
-                                  lambda: mpf("0.999"), ctx)
-        assert qspecial._PREFACTORS[(None, "0.999", "0.5")][0] == 78
+        got = series.prefactor(ctx)
+        assert series.pref[0] == 78
         assert got == direct_prefactor("0.999", "0.5", ctx)
 
     def test_eviction_keeps_bound_and_values(self, monkeypatch):
-        monkeypatch.setattr(qspecial, "_PREFACTORS", {})
-        monkeypatch.setattr(qspecial, "PREFACTOR_CACHE_ENTRIES", 2)
-        params = QParams("0.5", "0")
+        # at 40 digits one evaluation fills two buckets of 32 ratios each,
+        # so a bound of 128 ratios holds two records
+        monkeypatch.setattr(qspecial, "_SERIES", {})
+        monkeypatch.setattr(qspecial, "RATIO_CACHE_TERMS", 128)
         ctx = PrecisionContext(40)
 
         def prefactor(nu):
-            return qspecial._prefactor("0.5", None, nu, params.base_mp, ctx)
+            jnu3(QParams("0.5", nu), "1", ctx)
+            assert ratio_cache_total() <= 128
+            return qspecial._SERIES[("0.5", None, nu)].pref[1]
 
         first = [prefactor(nu) for nu in ("0.5", "1", "1.5")]
-        assert list(qspecial._PREFACTORS) == [("0.5", None, "1"),
-                                              ("0.5", None, "1.5")]
+        assert list(qspecial._SERIES) == [("0.5", None, "1"),
+                                          ("0.5", None, "1.5")]
         again = prefactor("0.5")
         assert again is not first[0]
         assert again._mpf_ == first[0]._mpf_
-        assert len(qspecial._PREFACTORS) == 2
+        assert list(qspecial._SERIES) == [("0.5", None, "1.5"),
+                                          ("0.5", None, "0.5")]
 
     def test_within_bound_after_zero_table(self, zero_tables):
+        # a valid evaluation fills at least one chunk of its record, so
+        # RATIO_CACHE_TERMS alone bounds the number of records
         zero_tables("0.8", "0")
-        assert 0 < len(qspecial._PREFACTORS) \
-            <= qspecial.PREFACTOR_CACHE_ENTRIES
+        records = list(qspecial._SERIES.values())
+        assert records
+        assert all(len(s) >= qspecial._RATIO_CHUNK for s in records)
+        assert len(records) <= \
+            qspecial.RATIO_CACHE_TERMS // qspecial._RATIO_CHUNK
 
 
 class TestQHyperProperty:
