@@ -33,6 +33,7 @@ MAX_TERMS = 200_000
 ESCALATION_FACTOR = 1.5
 # guard digits carried above the accuracy target of a summation pass
 EXTRA_GUARD = 10
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,12 @@ class EvalResult:
 
 
 def tracked_sum(terms: Iterable, dps: int, max_terms: int,
-                min_terms: int = 4) -> tuple[mpf, mpf, int]:
-    """Sum a stream of finite mpf terms, tracking magnitudes.
+                min_terms: int = 4, exp: int | None = None
+                ) -> tuple[mpf, mpf, int]:
+    """Sum a stream of finite terms, tracking magnitudes.
+
+    The terms are mpfs or, with ``exp``, Python ints t standing for
+    t * 2^exp, all at that one scale.
 
     The package's one truncation rule, shared by the adaptive series passes
     and the open-ended lattice sums (qcore.lattice_sum): once at least
@@ -100,25 +105,33 @@ def tracked_sum(terms: Iterable, dps: int, max_terms: int,
     prec, rnd = mp._prec_rounding
     scale = 10 ** dps               # |t| <= top * 10^-dps  <=>  |t| scale <= top
     scale_bits = scale.bit_length()
-    acc = acc_exp = 0               # the partial sum, exactly acc * 2^acc_exp
+    acc = 0                         # the partial sum, exactly acc * 2^acc_exp
+    acc_exp = e = 0 if exp is None else exp
     top_man = top_exp = 0           # max_magnitude, exactly top_man * 2^top_exp
     top = None                      # 2^(top-1) <= max_magnitude < 2^top
     small_streak = 0
     n = 0
     for term in terms:
-        sign, man, exp, bc = term._mpf_
+        if exp is None:
+            sign, man, e, bc = term._mpf_
+            signed = -man if sign else man
+        else:
+            signed = term
+            man = -term if term < 0 else term
+            bc = man.bit_length()
         n += 1
         if man:
-            signed = -man if sign else man
-            if exp >= acc_exp:
-                acc += signed << (exp - acc_exp)
+            if e == acc_exp:
+                acc += signed
+            elif e > acc_exp:
+                acc += signed << (e - acc_exp)
             else:
-                acc = (acc << (acc_exp - exp)) + signed
-                acc_exp = exp
-            mag = exp + bc          # 2^(mag-1) <= |term| < 2^mag
+                acc = (acc << (acc_exp - e)) + signed
+                acc_exp = e
+            mag = e + bc            # 2^(mag-1) <= |term| < 2^mag
             if top is None or mag > top or (
-                    mag == top and _exceeds(man, exp, top_man, top_exp)):
-                top_man, top_exp, top = man, exp, mag
+                    mag == top and _exceeds(man, e, top_man, top_exp)):
+                top_man, top_exp, top = man, e, mag
             pmag = acc_exp + acc.bit_length()
             if pmag > top or (pmag == top and _exceeds(
                     abs(acc), acc_exp, top_man, top_exp)):
@@ -126,7 +139,7 @@ def tracked_sum(terms: Iterable, dps: int, max_terms: int,
             # |term| scale lies in [2^(mag+scale_bits-2), 2^(mag+scale_bits))
             small = mag + scale_bits < top or (
                 mag + scale_bits - 2 < top
-                and not _exceeds(man * scale, exp, top_man, top_exp))
+                and not _exceeds(man * scale, e, top_man, top_exp))
         else:
             small = True            # a zero term is below any cutoff
         if small and n >= min_terms:
@@ -158,36 +171,53 @@ def raw_mpf(man: int, exp: int, prec: int, rnd: str) -> tuple:
     return normalize(0, man, exp, man.bit_length(), prec, rnd)
 
 
-def adaptive_sum(make_terms: Callable[[], Iterable], ctx: PrecisionContext,
-                 *, min_terms: int = 4) -> EvalResult:
+def _lost_digits(max_mag: mpf, value: mpf) -> int:
+    """ceil(log10(max_mag / |value|)) for nonzero mpfs, exactly: the least
+    integer c with max_mag <= |value| * 10^c."""
+    _, a_man, a_exp, a_bc = max_mag._mpf_
+    _, b_man, b_exp, b_bc = value._mpf_
+    # log2 of the ratio exceeds bits - 1, so c >= (bits - 1) log10(2); one
+    # below that float estimate is a safe start
+    bits = a_exp + a_bc - b_exp - b_bc
+    c = math.floor((bits - 1) * _LOG10_2) - 1
+    while True:
+        if c >= 0:
+            above = _exceeds(a_man, a_exp, b_man * 10 ** c, b_exp)
+        else:
+            above = _exceeds(a_man * 10 ** -c, a_exp, b_man, b_exp)
+        if not above:
+            return c
+        c += 1
+
+
+def adaptive_sum(make_terms: Callable[[], Iterable | tuple[Iterable, int]],
+                 ctx: PrecisionContext, *, min_terms: int = 4) -> EvalResult:
     """Evaluate a series with automatic precision escalation.
 
-    ``make_terms`` is called inside each mp.workdps block and must yield the
-    series terms computed at the ambient precision.  The run is accepted once
-    the working precision exceeds the requested digits plus the digits lost
-    to cancellation (largest partial over final value).
+    ``make_terms`` is called inside each mp.workdps block and returns the
+    series terms computed at the ambient precision: an iterable of mpfs, or
+    a pair (ints, exp) of Python ints at the one scale 2^exp (tracked_sum).
+    The run is accepted once the working precision reaches the requested
+    digits plus the digits lost to cancellation (largest partial over final
+    value, _lost_digits) plus 5.
     """
     dps = ctx.digits
     while True:
         with mp.workdps(dps + EXTRA_GUARD):
+            made = make_terms()
+            terms, exp = made if isinstance(made, tuple) else (made, None)
             value, max_mag, n = tracked_sum(
-                make_terms(), dps, MAX_TERMS, min_terms=min_terms)
+                terms, dps, MAX_TERMS, min_terms=min_terms, exp=exp)
         if max_mag == 0:
             return EvalResult(value, max_mag, n, dps)
-        if value == 0:
-            lost = mp.inf
-        else:
-            with mp.workdps(30):
-                lost = mp.log10(max_mag / abs(value))
-        if lost != mp.inf and dps >= ctx.digits + lost + 5:
+        lost = None if value == 0 else _lost_digits(max_mag, value)
+        if lost is not None and dps >= ctx.digits + lost + 5:
             return EvalResult(value, max_mag, n, dps)
         if dps >= ctx.dps_cap:
             # Value is genuinely zero to every precision we allow; report
             # it with the accounting intact rather than looping forever.
             return EvalResult(value, max_mag, n, dps)
-        if lost == mp.inf:
-            next_dps = math.ceil(dps * ESCALATION_FACTOR)
-        else:
-            next_dps = max(int(mp.ceil(ctx.digits + lost)) + EXTRA_GUARD,
-                           math.ceil(dps * ESCALATION_FACTOR))
+        next_dps = math.ceil(dps * ESCALATION_FACTOR)
+        if lost is not None:
+            next_dps = max(ctx.digits + lost + EXTRA_GUARD, next_dps)
         dps = min(next_dps, ctx.dps_cap)

@@ -45,8 +45,9 @@ class QParams:
             nuv = _as_mp(self.nu)
             if not (0 < qv < 1):
                 raise ValueError(f"q must satisfy 0 < q < 1, got {self.q}")
-            if not nuv > -1:
-                raise ValueError(f"nu must satisfy nu > -1, got {self.nu}")
+            if not (nuv > -1 and mp.isfinite(nuv)):
+                raise ValueError(
+                    f"nu must be finite and satisfy nu > -1, got {self.nu}")
 
     def q_mp(self) -> mpf:
         return _as_mp(self.q)
@@ -114,6 +115,12 @@ class LatticeFunction:
             raise ValueError("lattice JSON must be an object with a base "
                              "\"q\" and a list of \"values\"")
         values = tuple(payload["values"])
+        with mp.workdps(50):
+            if not all(isinstance(x, (str, int, float))
+                       and not isinstance(x, bool) and mp.isfinite(_as_mp(x))
+                       for x in (payload["q"], *values)):
+                raise ValueError("lattice JSON base \"q\" and every sample "
+                                 "must be a finite number or numeric string")
         if payload.get("N") is not None and payload["N"] != len(values):
             raise ValueError("declared N does not match number of samples")
         return cls(values=values, base=payload["q"])

@@ -27,8 +27,8 @@ from typing import Iterator
 
 from mpmath import mp, mpf
 
-from .precision import (MAX_TERMS, DivergenceError, EvalResult,
-                        PrecisionContext, adaptive_sum, raw_mpf)
+from .precision import (EXTRA_GUARD, MAX_TERMS, DivergenceError, EvalResult,
+                        PrecisionContext, adaptive_sum)
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_infinite
 
 # most ratios held by all series records together
@@ -113,14 +113,25 @@ class _Series:
     being the base or, for base None, q^2: ``tables`` maps a precision
     bucket to the ratios r_k = -p^k / ((1 - p^(nu+k)) (1 - p^k)),
     k = 1, 2, ..., at that precision, each as _fixed_factor's (mantissa,
-    shift) of its mpf; ``pref`` is the prefactor as (digits, value)."""
+    shift) of its mpf; ``pref`` is the prefactor as (digits, value).
+
+    Making a record checks the base and reads the facts about nu that the
+    argument rule needs (``integer``, ``nonneg``: nu >= 0, ``at_least_one``:
+    nu >= 1); nu itself is kept per bucket (``nu_at``)."""
 
     def __init__(self, q: Numeric | None, base: Numeric | None,
                  nu: Numeric):
+        if base is not None:        # QParams already holds 0 < q < 1
+            _check_base(base)
         self.q, self.base, self.nu = q, base, nu
         self.tables: dict[int, list[tuple[int, int]]] = {}
         self._next: dict[int, tuple] = {}   # bucket -> (p, p^k, p^(nu+k))
         self.pref: tuple[int, mpf | None] = (0, None)
+        self._nu: dict[int, tuple[mpf, int, int]] = {}   # bucket -> nu_at
+        with mp.workdps(50):
+            nuv = _as_mp(nu)
+            self.integer = nuv == mp.floor(nuv)
+            self.nonneg, self.at_least_one = nuv >= 0, nuv >= 1
 
     def __len__(self) -> int:
         return sum(map(len, self.tables.values()))
@@ -141,7 +152,7 @@ class _Series:
         with mp.workprec(prec):
             if not table:
                 p = self.p()
-                self._next[prec] = (p, p, p ** (_as_mp(self.nu) + 1))
+                self._next[prec] = (p, p, p ** (self.nu_at(prec)[0] + 1))
             p, pk, pnuk = self._next[prec]
             for _ in range(_RATIO_CHUNK):
                 table.append(_fixed_factor(-pk / ((1 - pnuk) * (1 - pk))))
@@ -154,6 +165,15 @@ class _Series:
                 break
             total -= len(_SERIES.pop(key))
         return table
+
+    def nu_at(self, bucket: int) -> tuple[mpf, int, int]:
+        """nu at a bucket's precision, with its _fixed_factor pair."""
+        hit = self._nu.get(bucket)
+        if hit is None:
+            with mp.workprec(bucket):
+                nuv = _as_mp(self.nu)
+            hit = self._nu[bucket] = (nuv, *_fixed_factor(nuv))
+        return hit
 
     def prefactor(self, ctx: PrecisionContext) -> mpf:
         """(p^(nu+1);p)_inf / (p;p)_inf to 10^-(ctx.digits + 10) or better.
@@ -200,15 +220,17 @@ def _evaluate(params: QParams, z: Numeric, ctx: PrecisionContext,
     J_nu(z;p) = z^nu * (p^(nu+1);p)_inf/(p;p)_inf
                 * sum_k (-1)^k p^(k(k+1)/2) z^(2k) / ((p^(nu+1);p)_k (p;p)_k)
     and the derivative series carries the extra factor (nu + 2k) with the
-    power z^(nu-1).  Both are defined at z < 0 for integer nu only, and at
-    z = 0 for nu >= 0 (J) or nu >= 1 (J').
+    power z^(nu-1).  z must be finite; both are defined at z < 0 for integer
+    nu only, and at z = 0 for nu >= 0 (J) or nu >= 1 (J').
 
     A series pass runs in fixed point: the bare term t_k (t_0 = 1) is the
     integer t times 2^u, with u = min(0, e) - prec - _GUARD_BITS and
     2^e about the larger of the first two yielded terms (e = 0 for J), a
     lower bound of the pass's largest magnitude.  A step multiplies t
     exactly by the mantissa of z^2, shifts back to scale 2^u, and does the
-    same with r_k; each term is yielded as an mpf rounded once from t.
+    same with r_k.  J's terms reach tracked_sum as t itself at scale 2^u;
+    J' yields t times the fixed-point nu + 2k, exactly, at scale 2^(u-s)
+    for nu = m 2^(-s).
 
     ``base=None`` means q^2, recomputed from ``q`` at the ambient precision
     of every escalation attempt (for the term ratios, at that attempt's
@@ -219,35 +241,37 @@ def _evaluate(params: QParams, z: Numeric, ctx: PrecisionContext,
     zero-argument callable, re-evaluated at the ambient precision of every
     attempt; this is essential near the zeros, where the value is
     superexponentially smaller than the local derivative and a fixed-precision
-    argument would dominate the result.
+    argument would dominate the result.  The scale z^nu times the prefactor
+    is built from the z and nu of the last pass.
     """
-    if base is not None:       # QParams already holds 0 < q < 1
-        _check_base(base)
-    nu = params.nu
+    key = (params.q if base is None else None, base, params.nu)
+    series = _SERIES.get(key)
+    if series is None:
+        series = _Series(*key)
 
     def z_mp() -> mpf:
         return z() if callable(z) else _as_mp(z)
 
     with mp.workdps(50):
-        nuv = params.nu_mp()
         zv = z_mp()
-        if zv < 0 and nuv != mp.floor(nuv):
+        if not mp.isfinite(zv):
+            raise ValueError(f"z must be finite, got {z}")
+        if zv < 0 and not series.integer:
             raise ValueError(
-                f"z < 0 requires integer nu (got z={z}, nu={nu})")
-        lowest = 1 if derivative else 0
-        if zv == 0 and nuv < lowest:
-            raise ValueError(f"z = 0 is singular for nu < {lowest}")
-    key = (params.q if base is None else None, base, nu)
-    if key not in _SERIES:
-        _SERIES[key] = _Series(*key)
-    series = _SERIES[key]
+                f"z < 0 requires integer nu (got z={z}, nu={params.nu})")
+        if zv == 0 and not (series.at_least_one if derivative
+                            else series.nonneg):
+            raise ValueError(
+                f"z = 0 is singular for nu < {1 if derivative else 0}")
+    _SERIES.setdefault(key, series)     # no record for a rejected call
+    last = []                           # z and nu of the latest pass
 
-    def terms() -> Iterator[mpf]:
+    def make_terms() -> tuple[Iterator[int], int]:
         ratios = series.ratios(1)
-        prec, rnd = mp._prec_rounding
-        make_mpf = mp.make_mpf
-        nuv = _as_mp(nu)
+        prec = mp.prec
+        nuv, nu_man, nu_shift = series.nu_at(_round_up(prec + _GUARD_BITS))
         zv = z_mp()
+        last[:] = zv, nuv
         z2 = zv * zv
         zman, zshift = _fixed_factor(z2)
         lead = 0
@@ -257,23 +281,25 @@ def _evaluate(params: QParams, z: Numeric, ctx: PrecisionContext,
             _, man, exp, bc = max(abs(nuv), abs(y1))._mpf_
             lead = min(0, exp + bc - 1) if man else 0
         u = lead - prec - _GUARD_BITS
-        t = 1 << -u
-        k = 0
-        yield nuv if derivative else mpf(1)
-        while True:
-            if k == len(ratios):
-                series.ratios(k + 1)
-            rman, rshift = ratios[k]
-            k += 1
-            t = (t * zman >> zshift) * rman >> rshift
-            term = make_mpf(raw_mpf(t, u, prec, rnd))
-            yield term * (nuv + 2 * k) if derivative else term
 
-    res = adaptive_sum(terms, ctx, min_terms=2)
+        def terms() -> Iterator[int]:
+            t = 1 << -u
+            k = 0
+            yield t * nu_man if derivative else t
+            while True:
+                if k == len(ratios):
+                    series.ratios(k + 1)
+                rman, rshift = ratios[k]
+                k += 1
+                t = (t * zman >> zshift) * rman >> rshift
+                yield t * (nu_man + (k << (nu_shift + 1))) if derivative else t
+
+        return terms(), (u - nu_shift if derivative else u)
+
+    res = adaptive_sum(make_terms, ctx, min_terms=2)
     pref = series.prefactor(ctx)
-    with mp.workdps(res.precision_used + 10):
-        nuv = _as_mp(nu)
-        zv = z_mp()
+    zv, nuv = last
+    with mp.workdps(res.precision_used + EXTRA_GUARD):
         zexp = nuv - 1 if derivative else nuv
         if zv == 0:
             power = mpf(1) if zexp == 0 else mpf(0)

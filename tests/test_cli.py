@@ -76,6 +76,15 @@ class TestEval:
             assert mpf(neg["J_prime"]) == -parity * mpf(pos["J_prime"])
 
 
+    @pytest.mark.parametrize("z", ["inf", "-inf", "nan"])
+    def test_non_finite_z_exits_2(self, z, capsys):
+        code, out, err = run(["eval", "--q", "0.5", "--nu", "0", f"--z={z}",
+                              "--digits", "40"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("qfb eval: error: z must be finite")
+        assert err.count("\n") == 1
+
+
 class TestZeros:
     def test_kmax_zero_empty_table_exit_zero(self, capsys):
         code, out, _ = run(["zeros", "--q", "0.5", "--nu", "0",
@@ -88,6 +97,14 @@ class TestZeros:
                             "--kmax", "20", "--digits", "40"], capsys)
         assert code == 2
         assert "allow-large-k" in err
+
+    @pytest.mark.parametrize("nu", ["inf", "nan"])
+    def test_non_finite_nu_exits_2(self, nu, capsys):
+        code, out, err = run(["zeros", "--q", "0.5", "--nu", nu,
+                              "--kmax", "3", "--digits", "40"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("qfb zeros: error: nu must be finite")
+        assert err.count("\n") == 1
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -263,8 +280,11 @@ class TestExpand:
         assert err.startswith("qfb expand: error: rule ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("payload", ['{"q": "0.5"}', "[1, 2]",
-                                         '{"q": "0.5", "values": 3}'])
+    @pytest.mark.parametrize("payload", [
+        '{"q": "0.5"}', "[1, 2]", '{"q": "0.5", "values": 3}',
+        '{"q": "0.5", "values": [null, "1"]}', '{"q": null, "values": ["1"]}',
+        '{"q": "0.5", "values": [true, ["1"]]}',
+        '{"q": "0.5", "values": ["inf", "1"]}', '{"q": "0.5", "values": [NaN]}'])
     def test_malformed_lattice_json_exits_2(self, payload, tmp_path, capsys):
         path = tmp_path / "f.json"
         path.write_text(payload, encoding="utf-8")

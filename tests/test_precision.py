@@ -1,10 +1,13 @@
-"""tracked_sum: the exact accumulation against the mpf loop it replaced."""
+"""tracked_sum: the exact accumulation against the mpf loop it replaced,
+its integer streams against its mpf streams, and the exact lost-digit
+count against the 30-digit log10 it replaced."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qfb.precision import PrecisionError, tracked_sum
+from qfb.precision import (EXTRA_GUARD, PrecisionError, _lost_digits,
+                           tracked_sum)
 
 LOW_EXP = -300
 
@@ -85,3 +88,70 @@ def test_cap_is_kept():
     with mp.workdps(40):
         with pytest.raises(PrecisionError):
             tracked_sum(iter([mpf(1)] * 10), 30, 5)
+
+
+@given(ints=st.lists(st.integers(-2 ** 200, 2 ** 200), max_size=40),
+       undo=st.integers(0, 40), exp=st.integers(-400, 200),
+       dps=st.integers(1, 60), min_terms=st.integers(0, 6))
+@example(ints=[1, 0, 0, 0], undo=0, exp=0, dps=30, min_terms=2)
+@settings(max_examples=300, deadline=None)
+def test_int_stream_matches_mpf_stream(ints, undo, exp, dps, min_terms):
+    ints = ints + [-t for t in ints[:undo]]
+    with mp.workprec(256):              # every t 2^exp exactly
+        exact = [mpf((t, exp)) for t in ints]
+    with mp.workdps(dps + 10):
+        got = tracked_sum(iter(ints), dps, 1000, min_terms, exp=exp)
+        want = tracked_sum(iter(exact), dps, 1000, min_terms)
+        assert got == want
+        value, max_mag, n = got
+        partial = largest = 0
+        for t in ints[:n]:
+            partial += t
+            largest = max(largest, abs(t), abs(partial))
+        assert value == mpf((partial, exp))       # rounded once
+        assert max_mag == mpf((largest, exp))
+
+
+def log10_rule(max_mag, value, digits, dps):
+    """Acceptance and escalation target as decided before the exact count:
+    lost digits from a 30-digit log10."""
+    with mp.workdps(30):
+        lost = mp.log10(max_mag / abs(value))
+    return (dps >= digits + lost + 5,
+            int(mp.ceil(digits + lost)) + EXTRA_GUARD)
+
+
+@given(man=st.integers(1, 2 ** 300), power=st.integers(0, 400),
+       rel=st.integers(3, 10), above=st.booleans(), negative=st.booleans(),
+       digits=st.integers(30, 200))
+@settings(max_examples=300, deadline=None)
+def test_lost_digits_decides_as_log10_did(man, power, rel, above, negative,
+                                         digits):
+    # max_mag = |value| 10^power (1 +- 10^-rel): just above or below a power
+    # of ten, at the working precision of a pass that sits on the boundary.
+    # The old rule added digits + lost + 5 at the ambient precision (53 bits
+    # here), so it could not see an excess below about 10^-13; the offsets
+    # stay well above that.
+    dps = digits + power + 5
+    with mp.workdps(dps + 10):
+        value = mpf(-man if negative else man)
+        with mp.workdps(dps + 60):
+            ratio = mpf(10) ** power * (1 + (1 if above else -1)
+                                        * mpf(10) ** -rel)
+        max_mag = abs(value) * ratio
+        lost = _lost_digits(max_mag, value)
+    assert lost == power + above
+    assert log10_rule(max_mag, value, digits, dps) == (
+        dps >= digits + lost + 5, digits + lost + EXTRA_GUARD)
+
+
+@pytest.mark.parametrize("power", [0, 1, 7, 30, 40])
+def test_lost_digits_at_exact_powers_of_ten(power):
+    with mp.workdps(100):
+        value = mpf(3) / 7
+    with mp.workprec(1000):
+        max_mag = value * 10 ** power       # exact
+    with mp.workdps(100):
+        assert _lost_digits(max_mag, value) == power
+        assert log10_rule(max_mag, value, 40, 45 + power) == (True,
+                                                             50 + power)

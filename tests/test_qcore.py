@@ -122,6 +122,9 @@ class TestQParams:
             QParams("0", "0")
         with pytest.raises(ValueError):
             QParams("0.5", "-1.5")
+        for nu in ("inf", "nan", float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                QParams("0.5", nu)
 
     def test_base_is_square_of_q(self):
         with mp.workdps(50):
@@ -207,7 +210,9 @@ class TestLatticeFunction:
 
     @pytest.mark.parametrize("payload", ['{"q": "0.5"}', '{"values": ["1"]}',
                                          "[1, 2]", '"0.5"',
-                                         '{"q": "0.5", "values": 3}'])
+                                         '{"q": "0.5", "values": 3}',
+                                         '{"q": "0.5", "values": [null]}',
+                                         '{"q": null, "values": ["1"]}'])
     def test_malformed_payload_rejected(self, payload):
         with pytest.raises(ValueError, match="lattice JSON"):
             LatticeFunction.from_json(payload)

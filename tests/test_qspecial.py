@@ -229,6 +229,13 @@ class TestSpecialValuesAndValidation:
                 fn(QParams("0.5", nu), z, CTX)
         assert qspecial._SERIES == {}     # no record for a rejected call
 
+    @pytest.mark.parametrize("fn", [jnu3, jnu3_derivative])
+    @pytest.mark.parametrize("z", ["inf", "-inf", "nan",
+                                   lambda: mp.inf, lambda: mp.nan])
+    def test_non_finite_z_rejected(self, fn, z):
+        with pytest.raises(ValueError, match="finite"):
+            fn(QParams("0.5", "1"), z, CTX)
+
     def test_derivative_rejects_singular_origin(self):
         with pytest.raises(ValueError):
             jnu3_derivative(QParams("0.5", "0.5"), 0, CTX)

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
+import qfb.precision
+import qfb.zeros
 from qfb import (PrecisionContext, QParams, ScanExhaustedError, ZeroRecord,
                  alpha_k, count_zeros_below, dense_scan_brackets,
                  derivative_sign_pattern, empirical_k0, find_zero, jnu3,
@@ -113,6 +115,27 @@ class TestGoldenTables:
                 if prev is not None:
                     assert err <= tol * (qv * j - prev) / qv, w["k"]
                 prev = j
+
+
+class TestWorkCounts:
+    def test_series_passes_and_sign_queries_of_a_small_table(self,
+                                                             monkeypatch):
+        # the counts the benchmark self-test pins at kmax 12, here at kmax 4
+        # and 60 digits: two passes per evaluation, none repeated
+        calls = {"passes": 0, "signs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(qfb.precision, "tracked_sum",
+                            counted("passes", qfb.precision.tracked_sum))
+        monkeypatch.setattr(qfb.zeros, "jnu3",
+                            counted("signs", qfb.zeros.jnu3))
+        zero_table(QParams("0.5", "0"), 4, PrecisionContext(60))
+        assert calls == {"passes": 7408, "signs": 3704}
 
 
 class TestCensus:
