@@ -11,8 +11,7 @@ from .precision import (DivergenceError, EvalResult, PrecisionContext,
                         PrecisionError, adaptive_sum, tracked_sum)
 from .qcore import (BaseMismatchError, LatticeFunction, QParams,
                     inner_product, norm_lq2, qintegral_01,
-                    qpochhammer_finite, qpochhammer_infinite,
-                    qpochhammer_multi, same_base)
+                    qpochhammer_infinite, qpochhammer_multi, same_base)
 from .qspecial import jnu3, jnu3_derivative, phi11, phi11_derivative
 from .zeros import (ScanExhaustedError, ZeroRecord, alpha_k, bracket_zero,
                     count_zeros_below, dense_scan_brackets,
@@ -32,7 +31,7 @@ __all__ = [
     "PrecisionContext", "EvalResult", "PrecisionError", "DivergenceError",
     "adaptive_sum", "tracked_sum",
     "QParams", "LatticeFunction", "BaseMismatchError", "same_base",
-    "qpochhammer_finite", "qpochhammer_infinite", "qpochhammer_multi",
+    "qpochhammer_infinite", "qpochhammer_multi",
     "qintegral_01", "inner_product", "norm_lq2",
     "phi11", "phi11_derivative", "jnu3", "jnu3_derivative",
     "ZeroRecord", "ScanExhaustedError", "alpha_k", "bracket_zero",

@@ -22,8 +22,8 @@ from mpmath import mp, mpf
 from .precision import DivergenceError, PrecisionContext, PrecisionError
 from .qcore import LatticeFunction, QParams, _as_mp
 from .qspecial import jnu3, jnu3_derivative
-from .zeros import (ScanExhaustedError, zero_table, zero_table_to_csv,
-                    zero_table_to_json)
+from .zeros import (SAMPLES_PER_INTERVAL, ScanExhaustedError, zero_table,
+                    zero_table_to_csv, zero_table_to_json)
 from .expansion import BasisFunction, expand
 from .verify import CHECK_IDS, DEFAULT_RL_FUNCTIONS, GRAM_TOL, run_checks
 
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol", default=GRAM_TOL,
                     help="Gram residual tolerance "
                          f"(decimal string, default {GRAM_TOL})")
-    pv.add_argument("--samples", type=int, default=32,
+    pv.add_argument("--samples", type=int, default=SAMPLES_PER_INTERVAL,
                     help="samples per interval for sign constancy")
 
     px = sub.add_parser("expand", help="q-Fourier-Bessel expansion of f")

@@ -78,6 +78,15 @@ class ModeCache:
         return self.memo(("eta", k), lambda: eta_k(
             self.params, self.records[k], self.ctx))
 
+    def eta_root(self, k: int) -> mpf:
+        """sqrt(eta_k).  A squared norm that is not positive was computed
+        from a zero or a value that lost its accuracy: PrecisionError."""
+        eta = self.eta(k)
+        if not eta > 0:
+            raise PrecisionError(
+                f"eta_{k} = {mp.nstr(eta, 8)} is not positive")
+        return mp.sqrt(eta)
+
 
 def _read(f, cache: ModeCache) -> tuple[Callable[[int, mpf], mpf], int,
                                         int | None]:
@@ -197,7 +206,7 @@ def gram_matrix(params: QParams, records: dict[int, ZeroRecord], K: int,
     if cache is None:
         cache = ModeCache(params, records, ctx)
     with ctx.workdps(10):
-        roots = [mp.sqrt(cache.eta(k)) for k in range(1, K + 1)]
+        roots = [cache.eta_root(k) for k in range(1, K + 1)]
         g = [[mpf(0)] * K for _ in range(K)]
         for n in range(1, K + 1):
             for m in range(n, K + 1):
@@ -240,11 +249,11 @@ def riemann_lebesgue_rate(params: QParams, f, records: dict,
         sup_rate = mpf(0)
         prev_abs = None
         for m in m_values:
-            eta = cache.eta(m)
+            eta_root = cache.eta_root(m)
             i_m = coefficient(params, f, records[m], 1, ctx, cache=cache)
             rate = abs(i_m) * q ** (-m)
             sup_rate = max(sup_rate, rate)
-            envelope = (mp.sqrt(wnorm2) * mp.sqrt(eta)
+            envelope = (mp.sqrt(wnorm2) * eta_root
                         if hypothesis_ok else mp.inf)
             rows.append({
                 "m": m,

@@ -56,9 +56,6 @@ class PrecisionContext:
         """Context manager setting mpmath precision to digits + extra."""
         return mp.workdps(self.digits + extra)
 
-    def with_digits(self, digits: int) -> "PrecisionContext":
-        return PrecisionContext(digits)
-
     @property
     def dps_cap(self) -> int:
         """Upper limit for escalated working precision."""
@@ -74,13 +71,6 @@ class EvalResult:
     terms_used: int
     precision_used: int
 
-    @property
-    def cancellation_ratio(self) -> mpf:
-        """Largest partial-sum magnitude over |value| (inf when value = 0)."""
-        if self.value == 0:
-            return mp.inf
-        return self.max_partial_magnitude / abs(self.value)
-
 
 def tracked_sum(terms: Iterable, dps: int, max_terms: int,
                 min_terms: int = 4, exp: int | None = None
@@ -88,7 +78,8 @@ def tracked_sum(terms: Iterable, dps: int, max_terms: int,
     """Sum a stream of finite terms, tracking magnitudes.
 
     The terms are mpfs or, with ``exp``, Python ints t standing for
-    t * 2^exp, all at that one scale.
+    t * 2^exp, all at that one scale.  An infinite or nan term raises
+    ValueError.
 
     The package's one truncation rule, shared by the adaptive series passes
     and the open-ended lattice sums (qcore.lattice_sum): once at least
@@ -140,6 +131,8 @@ def tracked_sum(terms: Iterable, dps: int, max_terms: int,
             small = mag + scale_bits < top or (
                 mag + scale_bits - 2 < top
                 and not _exceeds(man * scale, e, top_man, top_exp))
+        elif bc:                    # inf and nan carry mantissa 0 too
+            raise ValueError(f"series term {n} is {term}, not finite")
         else:
             small = True            # a zero term is below any cutoff
         if small and n >= min_terms:

@@ -55,10 +55,6 @@ class QParams:
     def nu_mp(self) -> mpf:
         return _as_mp(self.nu)
 
-    def base_mp(self) -> mpf:
-        """The squared base q^2 used throughout the zero/expansion theory."""
-        return _as_mp(self.q) ** 2
-
 
 @dataclass(frozen=True)
 class LatticeFunction:
@@ -87,15 +83,6 @@ class LatticeFunction:
 
     def base_mp(self) -> mpf:
         return _as_mp(self.base)
-
-    @classmethod
-    def from_callable(cls, f: Callable, base: Numeric, n: int,
-                      digits: int = 120) -> "LatticeFunction":
-        with mp.workdps(digits):
-            b = _as_mp(base)
-            vals = tuple(mp.nstr(mp.mpf(f(b ** j)), digits)
-                         for j in range(n))
-        return cls(values=vals, base=base)
 
     def to_json(self, digits: int = 50) -> str:
         with mp.workdps(digits + 10):
@@ -126,29 +113,13 @@ class LatticeFunction:
         return cls(values=values, base=payload["q"])
 
 
-def same_base(a: LatticeFunction | Numeric, b: LatticeFunction | Numeric,
-              rel: float = 1e-30) -> bool:
+def same_base(a: LatticeFunction | Numeric,
+              b: LatticeFunction | Numeric) -> bool:
+    """Whether two bases agree to a relative 1e-30."""
     with mp.workdps(50):
         av = a.base_mp() if isinstance(a, LatticeFunction) else _as_mp(a)
         bv = b.base_mp() if isinstance(b, LatticeFunction) else _as_mp(b)
-        return abs(av - bv) <= rel * abs(av)
-
-
-def qpochhammer_finite(a: Numeric, q: Numeric, n: int,
-                       ctx: PrecisionContext | None = None) -> mpf:
-    """(a;q)_n = prod_{i=0}^{n-1} (1 - a q^i); empty product is exactly 1."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    dps = ctx.digits if ctx is not None else mp.dps
-    with mp.workdps(dps):
-        av = _as_mp(a)
-        qv = _as_mp(q)
-        prod = mpf(1)
-        aq = av
-        for _ in range(n):
-            prod *= (1 - aq)
-            aq *= qv
-        return prod
+        return abs(av - bv) <= 1e-30 * abs(av)
 
 
 # most products held by _POCH_CACHE; the oldest are dropped first

@@ -25,9 +25,9 @@ from .precision import PrecisionContext
 from .qcore import (Numeric, QParams, _as_mp, qintegral_01,
                     qpochhammer_infinite)
 from .qspecial import jnu3, phi11
-from .zeros import (ZeroRecord, _check_samples, _theta_value,
-                    count_zeros_below, derivative_sign_pattern, empirical_k0,
-                    verify_decay_bounds, verify_shifted_zero,
+from .zeros import (SAMPLES_PER_INTERVAL, ZeroRecord, _check_samples,
+                    _theta_value, count_zeros_below, derivative_sign_pattern,
+                    empirical_k0, verify_decay_bounds, verify_shifted_zero,
                     verify_sign_constancy, zero_table)
 from .expansion import (ModeCache, ETA_METHODS, eta_k, gram_matrix,
                         riemann_lebesgue_rate)
@@ -256,7 +256,7 @@ def _check_derivative_decay(params, ctx, records, cache, kmax):
     m_lo = min(4, kmax)
     rows = [r for r in _decay_rows(params, ctx, records, cache, kmax)
             if r["k"] >= m_lo]
-    ctx2 = ctx.with_digits(2 * ctx.digits)
+    ctx2 = PrecisionContext(2 * ctx.digits)
     rep2 = verify_decay_bounds(params, range(m_lo, kmax + 1), records, ctx2)
     with mp.workdps(ctx.digits):
         sup1 = max(r["ratio_a"] for r in rows)
@@ -430,7 +430,7 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
                records: dict[int, ZeroRecord] | None = None, *,
                theta_zero_rule: Callable[[int], Numeric] | None = None,
                theta_inf_rule: Callable[[int], Numeric] | None = None,
-               samples_per_interval: int = 32,
+               samples_per_interval: int = SAMPLES_PER_INTERVAL,
                gram_tol: Numeric = GRAM_TOL,
                rl_functions: Sequence[tuple] = DEFAULT_RL_FUNCTIONS,
                ) -> VerificationReport:

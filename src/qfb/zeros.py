@@ -25,15 +25,12 @@ from .qcore import Numeric, QParams, _as_mp, qpochhammer_multi, \
 from .qspecial import jnu3, jnu3_derivative, phi11_derivative
 
 SCAN_RATIO = mpf(1) + mpf(1) / 1000   # no two zeros share a cell for k <= 12
+# J' samples per interval of the sign-constancy check
+SAMPLES_PER_INTERVAL = 32
 
 
 class ScanExhaustedError(RuntimeError):
     """No sign change found on the scanned grid."""
-
-    def __init__(self, message, grid_lo=None, grid_hi=None):
-        super().__init__(message)
-        self.grid_lo = grid_lo
-        self.grid_hi = grid_hi
 
 
 @dataclass
@@ -91,13 +88,12 @@ def alpha_k(params: QParams, k: int,
         return mp.log(arg) / (2 * mp.log(q))
 
 
+def _sgn(v: mpf) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _sign(params: QParams, z: mpf, ctx: PrecisionContext) -> int:
-    v = jnu3(params, z, ctx).value
-    if v > 0:
-        return 1
-    if v < 0:
-        return -1
-    return 0
+    return _sgn(jnu3(params, z, ctx).value)
 
 
 def dense_scan_brackets(params: QParams, z_lo: Numeric, z_hi: Numeric,
@@ -140,7 +136,7 @@ def _materialize_endpoint(params: QParams, point: Callable[[], mpf],
     for _ in range(12):
         with mp.workdps(dps):
             v = point()
-        if _sign(params, v, ctx.with_digits(max(ctx.digits, dps))) == s_target:
+        if _sign(params, v, PrecisionContext(dps)) == s_target:
             return v
         dps *= 2
     raise RuntimeError(
@@ -149,7 +145,7 @@ def _materialize_endpoint(params: QParams, point: Callable[[], mpf],
 
 
 def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
-                 prev_zero: mpf | None = None) -> tuple[mpf, mpf, bool]:
+                 prev_zero: mpf | None = None) -> tuple[mpf, mpf]:
     """Sign-change bracket for the k-th zero.
 
     Uses the asymptotic bracket (q^(-k+alpha_k), q^(-k)) when alpha_k is
@@ -160,7 +156,7 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scan_ctx = ctx.with_digits(30)
+    scan_ctx = PrecisionContext(30)
     with ctx.workdps(10):
         q = params.q_mp()
         hi = q ** (-k)
@@ -207,8 +203,7 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
             top = top / q               # raise the ceiling
         raise ScanExhaustedError(
             f"no sign change of J_nu(.;q^2) in ({mp.nstr(start, 8)}, "
-            f"{mp.nstr(top, 8)}] for k={k}, q={params.q}, nu={params.nu}",
-            grid_lo=start, grid_hi=top)
+            f"{mp.nstr(top, 8)}] for k={k}, q={params.q}, nu={params.nu}")
 
 
 def find_zero(params: QParams, k: int, ctx: PrecisionContext,
@@ -231,7 +226,6 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
     max_iters = 6000
     iters = 0
     with mp.workdps(work_dps):
-        q = params.q_mp()
         tol_rel = mpf(10) ** (-mpf(ctx.digits) / 2)
         if prev_zero is None:
             prev = None
@@ -249,6 +243,9 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
             mid = (lo + hi) / 2
             done = width <= tol_rel * mid
             if done and prev is not None:
+                # q at the current precision: the gap shrinks like
+                # eps_(k-1) j_k, below the rounding of a q fixed earlier
+                q = params.q_mp()
                 gap = q * mid - prev
                 done = gap > 0 and width <= tol_rel * gap / q
             # keep ~digits/2 working digits beyond the bracket resolution
@@ -258,7 +255,7 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
                 work_dps = needed
         if done:
             break
-        s_mid = _sign(params, mid, ctx.with_digits(work_dps))
+        s_mid = _sign(params, mid, PrecisionContext(work_dps))
         if s_mid == 0:
             lo = hi = mid
             break
@@ -314,7 +311,7 @@ def empirical_k0(records: Sequence[ZeroRecord]) -> int | None:
 def count_zeros_below(params: QParams, z_max: Numeric,
                       ctx: PrecisionContext) -> int:
     """Dense-scan census of zeros in (0, z_max] (oracle for small ranges)."""
-    scan_ctx = ctx.with_digits(30)
+    scan_ctx = PrecisionContext(30)
     with mp.workdps(40):
         q = params.q_mp()
         start = q ** 8
@@ -404,7 +401,7 @@ def derivative_sign_pattern(params: QParams, m_values: Iterable[int],
                 z = p ** (-m + th)
                 v = phi11_derivative(omega, p, z, ctx).value
                 predicted = (-1) ** (m + 1) if limit == "zero" else (-1) ** m
-            observed = 1 if v > 0 else (-1 if v < 0 else 0)
+            observed = _sgn(v)
             rows.append({"m": m, "theta": th, "observed": observed,
                          "predicted": predicted,
                          "match": observed == predicted})
@@ -419,7 +416,8 @@ def derivative_sign_pattern(params: QParams, m_values: Iterable[int],
 
 def verify_sign_constancy(params: QParams, m_values: Iterable[int],
                           ctx: PrecisionContext,
-                          samples_per_interval: int = 32) -> dict:
+                          samples_per_interval: int = SAMPLES_PER_INTERVAL
+                          ) -> dict:
     """Sample J'_nu(.;q^2) on a geometric grid in (q^(-m+alpha_m), q^(-m)).
 
     Reports whether the sign is constant in each interval and whether
@@ -445,8 +443,7 @@ def verify_sign_constancy(params: QParams, m_values: Iterable[int],
             for i in range(n):
                 u = th * (i + 1) / (n + 1)   # interior exponents in (0, th)
                 z = q ** (-m + u)
-                v = jnu3_derivative(params, z, ctx).value
-                signs.append(1 if v > 0 else (-1 if v < 0 else 0))
+                signs.append(_sgn(jnu3_derivative(params, z, ctx).value))
             rows.append({"m": m, "theta_star": th,
                          "constant": len(set(signs)) == 1,
                          "sign": signs[0] if len(set(signs)) == 1 else 0})

@@ -10,6 +10,8 @@ from qfb import LatticeFunction
 from qfb.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# f(t) = t sampled on the lattice of base 1/2
+T_ON_HALVES = LatticeFunction(tuple(mpf(2) ** -j for j in range(30)), "0.5")
 
 
 def run(argv, capsys):
@@ -197,7 +199,7 @@ class TestVerify:
 
     def test_lattice_function_on_another_base_exits_2(self, tmp_path,
                                                       capsys):
-        lf = LatticeFunction.from_callable(lambda t: t, "0.5", 30, digits=40)
+        lf = T_ON_HALVES
         path = tmp_path / "f.json"
         path.write_text(lf.to_json(), encoding="utf-8")
         code, _, err = run(["verify", "--q", "0.8", "--nu", "0",
@@ -250,7 +252,7 @@ class TestExpand:
         assert "zero table" in err
 
     def test_lattice_json_round_trip(self, tmp_path, capsys):
-        lf = LatticeFunction.from_callable(lambda t: t, "0.5", 30, digits=40)
+        lf = T_ON_HALVES
         path = tmp_path / "f.json"
         path.write_text(lf.to_json(), encoding="utf-8")
         code, out, _ = run(["expand", "--q", "0.5", "--nu", "0", "--K", "2",
@@ -264,13 +266,21 @@ class TestExpand:
 
     def test_lattice_function_on_another_base_exits_2(self, tmp_path,
                                                       capsys):
-        lf = LatticeFunction.from_callable(lambda t: t, "0.5", 30, digits=40)
+        lf = T_ON_HALVES
         path = tmp_path / "f.json"
         path.write_text(lf.to_json(), encoding="utf-8")
         code, _, err = run(["expand", "--q", "0.8", "--nu", "0", "--K", "2",
                             "--f", str(path), "--digits", "40"], capsys)
         assert code == 2
         assert "base" in err and "Traceback" not in err
+
+    def test_infinite_integrand_exits_2(self, capsys):
+        # log(1-t) is -inf at the lattice point t = 1
+        code, _, err = run(["expand", "--q", "0.5", "--nu", "0", "--K", "2",
+                            "--digits", "40", "--f", "log(1-t)"], capsys)
+        assert code == 2
+        assert err.startswith("qfb expand: error: series term 1 is -inf")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("f", ["t**", "1/(t-t)"])
     def test_malformed_expression_exits_2(self, f, capsys):

@@ -1,6 +1,7 @@
 """Traceability: every report anchor must appear in the docs matrix, the
-package version matches the project metadata, and committed benchmark
-evidence follows the format the README describes."""
+package version matches the project metadata, every public name has a
+use, and committed benchmark evidence follows the format the README
+describes."""
 
 import json
 import re
@@ -36,6 +37,26 @@ def test_version_matches_pyproject():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     match = re.search(r'^version = "([^"]+)"', text, re.MULTILINE)
     assert match and qfb.__version__ == match.group(1)
+
+
+def test_every_public_name_is_used_or_documented():
+    # a name in qfb.__all__ is named in the README, read by the benchmark,
+    # or used in the package beyond its own definition
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bench = "".join(p.read_text(encoding="utf-8")
+                    for p in (ROOT / "perfbench").glob("*.py"))
+    src = "".join(p.read_text(encoding="utf-8")
+                  for p in (ROOT / "src" / "qfb").glob("*.py")
+                  if p.name != "__init__.py")
+    unused = []
+    for name in qfb.__all__:
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^(?:def |class ){name}\b|^{name} =",
+                                re.MULTILINE)
+        if not (word.search(readme) or word.search(bench)
+                or len(word.findall(src)) > len(definition.findall(src))):
+            unused.append(name)
+    assert not unused
 
 
 # the keys of a BENCH file and of one of its runs (README, "Benchmark

@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp, mpf
 
 from qfb import (BaseMismatchError, BasisFunction, LatticeFunction, ModeCache,
-                 PrecisionContext, QParams, coefficient, eta_k, expand,
-                 gram_matrix, jnu3, partial_sum, qintegral_01,
+                 PrecisionContext, PrecisionError, QParams, coefficient,
+                 eta_k, expand, gram_matrix, jnu3, partial_sum, qintegral_01,
                  riemann_lebesgue_rate, run_checks)
 
 CTX = PrecisionContext(digits=50)
@@ -42,6 +42,17 @@ class TestEta:
                 base = vals[0]
                 for v in vals[1:]:
                     assert abs(v - base) <= abs(base) * mpf(10) ** -20
+
+    @pytest.mark.parametrize("use", ["gram", "riemann-lebesgue"])
+    def test_nonpositive_eta_is_a_precision_error(self, records, use):
+        cache = ModeCache(P, records, CTX)
+        cache.memo(("eta", 2), lambda: mpf("-0.09"))
+        with pytest.raises(PrecisionError, match=r"eta_2 = -0\.09 "):
+            if use == "gram":
+                gram_matrix(P, records, 3, CTX, cache)
+            else:
+                riemann_lebesgue_rate(P, lambda t: mpf(1), records,
+                                      range(1, 4), CTX, cache)
 
     def test_cache_memoises_closed_form(self, records, cache):
         e = cache.eta(2)

@@ -155,3 +155,12 @@ def test_lost_digits_at_exact_powers_of_ten(power):
         assert _lost_digits(max_mag, value) == power
         assert log10_rule(max_mag, value, 40, 45 + power) == (True,
                                                              50 + power)
+
+
+@pytest.mark.parametrize("bad", ["+inf", "-inf", "nan"])
+def test_non_finite_term_rejected(bad):
+    # inf and nan carry mantissa 0, like a zero term
+    with mp.workdps(30):
+        terms = [mpf(1), mpf(bad), mpf(2)]
+        with pytest.raises(ValueError, match="term 2 .* not finite"):
+            tracked_sum(iter(terms), 30, 100, 0)

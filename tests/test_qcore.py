@@ -1,64 +1,16 @@
 """q-Pochhammer symbols, q-integrals, lattice functions and inner products."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qfb import (BaseMismatchError, LatticeFunction, PrecisionContext,
                  QParams, inner_product, norm_lq2, qintegral_01,
-                 qpochhammer_finite, qpochhammer_infinite, qpochhammer_multi,
-                 same_base)
+                 qpochhammer_infinite, qpochhammer_multi, same_base)
 import qfb.qcore as qcore
 from qfb.qcore import lattice_sum
 
 CTX = PrecisionContext(digits=60)
-
-small_q = st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10),
-                       max_denominator=50)
-small_a = st.fractions(min_value=Fraction(-2), max_value=Fraction(2),
-                       max_denominator=50)
-
-
-def exact_poch_finite(a: Fraction, q: Fraction, n: int) -> Fraction:
-    """Independent exact-rational oracle for (a;q)_n."""
-    prod = Fraction(1)
-    aq = a
-    for _ in range(n):
-        prod *= (1 - aq)
-        aq *= q
-    return prod
-
-
-class TestPochhammerFinite:
-    def test_empty_product_is_one(self):
-        assert qpochhammer_finite("0.7", "0.5", 0) == 1
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            qpochhammer_finite("0.7", "0.5", -1)
-
-    @given(a=small_a, q=small_q, n=st.integers(min_value=0, max_value=12))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_exact_rational_oracle(self, a, q, n):
-        exact = exact_poch_finite(a, q, n)
-        with mp.workdps(60):
-            got = qpochhammer_finite(
-                mpf(a.numerator) / a.denominator,
-                mpf(q.numerator) / q.denominator, n, CTX)
-            want = mpf(exact.numerator) / exact.denominator
-            assert abs(got - want) <= abs(want) * mpf(10) ** -50 + mpf(10) ** -50
-
-    @given(a=small_a, q=small_q, n=st.integers(min_value=1, max_value=10))
-    @settings(max_examples=40, deadline=None)
-    def test_recurrence_splits_off_first_factor(self, a, q, n):
-        with mp.workdps(60):
-            av = mpf(a.numerator) / a.denominator
-            qv = mpf(q.numerator) / q.denominator
-            full = qpochhammer_finite(av, qv, n, CTX)
-            split = (1 - av) * qpochhammer_finite(av * qv, qv, n - 1, CTX)
-            assert abs(full - split) <= abs(full) * mpf(10) ** -50 + mpf(10) ** -55
 
 
 class TestPochhammerInfinite:
@@ -68,7 +20,7 @@ class TestPochhammerInfinite:
             a, q = mpf("0.6"), mpf("0.5")
             for n in (1, 3, 7):
                 lhs = qpochhammer_infinite(a, q, CTX)
-                rhs = (qpochhammer_finite(a, q, n, CTX)
+                rhs = (mp.fprod(1 - a * q ** i for i in range(n))
                        * qpochhammer_infinite(a * q ** n, q, CTX))
                 assert abs(lhs - rhs) <= abs(lhs) * mpf(10) ** -55
 
@@ -125,11 +77,6 @@ class TestQParams:
         for nu in ("inf", "nan", float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 QParams("0.5", nu)
-
-    def test_base_is_square_of_q(self):
-        with mp.workdps(50):
-            p = QParams("0.5", "1")
-            assert p.base_mp() == p.q_mp() ** 2
 
 
 class TestQIntegral:

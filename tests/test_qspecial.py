@@ -255,10 +255,10 @@ class TestCancellationAccounting:
         params = QParams("0.5", "0")
         ctx = PrecisionContext(digits=40)
         res = jnu3(params, mpf(2) ** 5, ctx)
-        assert res.cancellation_ratio > 10
+        assert res.max_partial_magnitude > 10 * abs(res.value)
         assert res.precision_used > ctx.digits
         # doubled-precision rerun agrees to the requested digits
-        res2 = jnu3(params, mpf(2) ** 5, ctx.with_digits(80))
+        res2 = jnu3(params, mpf(2) ** 5, PrecisionContext(80))
         with mp.workdps(100):
             assert abs(res.value - res2.value) <= abs(res2.value) * mpf(10) ** -38
 
@@ -269,7 +269,7 @@ class TestCancellationAccounting:
         ctx = PrecisionContext(digits=40)
         z = mpf(2) ** m   # exactly q^(-m) for q = 1/2
         a = jnu3(params, z, ctx).value
-        b = jnu3(params, z, ctx.with_digits(80)).value
+        b = jnu3(params, z, PrecisionContext(80)).value
         with mp.workdps(100):
             assert abs(a - b) <= abs(b) * mpf(10) ** -35
 

@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 
 import qfb.precision
 import qfb.zeros
-from qfb import (PrecisionContext, QParams, ScanExhaustedError, ZeroRecord,
-                 alpha_k, count_zeros_below, dense_scan_brackets,
+from qfb import (ModeCache, PrecisionContext, QParams, ZeroRecord, alpha_k,
+                 count_zeros_below, dense_scan_brackets,
                  derivative_sign_pattern, empirical_k0, find_zero, jnu3,
                  verify_shifted_zero, verify_sign_constancy, zero_table,
                  zero_table_to_csv, zero_table_to_json)
@@ -115,6 +115,21 @@ class TestGoldenTables:
                 if prev is not None:
                     assert err <= tol * (qv * j - prev) / qv, w["k"]
                 prev = j
+
+
+class TestSmallGaps:
+    def test_gap_test_sees_eps_below_the_initial_precision(self):
+        # at 60 digits eps_10 ~ 1e-125 lies below q's rounding at the
+        # bisection's starting precision (100 digits), so the gap
+        # q j_11 - j_10 must be formed from q at the working precision
+        params = QParams("0.3", "2.5")
+        ctx = PrecisionContext(60)
+        records = {r.k: r for r in zero_table(params, 11, ctx)}
+        cache = ModeCache(params, records, ctx)
+        assert all(cache.eta(k) > 0 for k in records)
+        eps = [records[k].epsilon_k for k in sorted(records)]
+        assert all(a > b for a, b in zip(eps, eps[1:]))
+        assert eps[-1] < mpf(10) ** -150
 
 
 class TestWorkCounts:
@@ -237,14 +252,3 @@ class TestSerialization:
             assert set(r) >= {"j", "epsilon_k", "alpha_k",
                               "asymptotic_bracket_ok", "refined_to"}
 
-
-class TestScanExhausted:
-    def test_error_carries_grid_context(self):
-        with pytest.raises(ScanExhaustedError) as ei:
-            # a range containing no zero: scan (0.01, 0.02] only
-            brackets = dense_scan_brackets(P, "0.01", "0.02", CTX)
-            if not brackets:
-                raise ScanExhaustedError("no sign change",
-                                         grid_lo=mpf("0.01"),
-                                         grid_hi=mpf("0.02"))
-        assert ei.value.grid_lo is not None
