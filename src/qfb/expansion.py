@@ -44,10 +44,12 @@ class BasisFunction:
 
 
 class ModeCache:
-    """Lazy cache of per-zero values: basis-function values J_nu(q j_k q^j;
-    q^2), the closed-form eta_k, and what the checks memoise.
+    """Lazy cache of per-zero values, the one place where they are
+    evaluated: basis-function values J_nu(q j_k q^j; q^2), J'_nu(j_k; q^2),
+    J_(nu+1)(q j_k; q^2), the closed-form eta_k, and what the checks
+    memoise.
 
-    Values are computed once per (k, j) at the context's precision; the
+    Values are computed once per key at the context's precision; the
     per-point adaptive escalation makes each one accurate relative to its
     own magnitude, which is what the strongly cancelling cross-mode
     integrals need.
@@ -73,10 +75,23 @@ class ModeCache:
             self.params, self.records[k].scaled(self.params, self.ctx, j + 1),
             self.ctx).value)
 
+    def derivative(self, k: int) -> mpf:
+        """J'_nu(j_k; q^2)."""
+        return self.memo(("derivative", k), lambda: jnu3_derivative(
+            self.params, self.records[k].j, self.ctx).value)
+
+    def upper(self, k: int) -> mpf:
+        """J_(nu+1)(q j_k; q^2), the order above at the shifted zero."""
+        def compute() -> mpf:
+            with mp.workdps(self.ctx.digits + 40):
+                up = QParams(self.params.q, self.params.nu_mp() + 1)
+            return jnu3(up, self.records[k].scaled(self.params, self.ctx),
+                        self.ctx).value
+        return self.memo(("upper", k), compute)
+
     def eta(self, k: int) -> mpf:
         """eta_k by the closed form through J_(nu+1), computed once per k."""
-        return self.memo(("eta", k), lambda: eta_k(
-            self.params, self.records[k], self.ctx))
+        return self.memo(("eta", k), lambda: eta_k(self, k))
 
     def eta_root(self, k: int) -> mpf:
         """sqrt(eta_k).  A squared norm that is not positive was computed
@@ -125,38 +140,30 @@ def _integral(cache: ModeCache, f, k: int) -> mpf:
                            max(mode, k) + 5, n=count)
 
 
-def eta_k(params: QParams, record: ZeroRecord, ctx: PrecisionContext,
-          method: str = "closed_form_nu_plus_1",
-          cache: ModeCache | None = None) -> mpf:
+def eta_k(cache: ModeCache, k: int,
+          method: str = "closed_form_nu_plus_1") -> mpf:
     """Squared weighted norm eta_k = integral of t J_nu^2(q j_k t; q^2) d_q t.
 
     method="integral" sums the lattice directly; the closed forms are
       (q-1)/2 * q^(nu-1) * J_(nu+1)(q j_k; q^2) * J'_nu(j_k; q^2)   and
-      (q-1)/(2 j_k) * q^(nu-2) * J_nu(q j_k; q^2) * J'_nu(j_k; q^2).
+      (q-1)/(2 j_k) * q^(nu-2) * J_nu(q j_k; q^2) * J'_nu(j_k; q^2),
+    with the values at the zero read from the cache.
     """
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
-    with ctx.workdps(10):
-        q = params.q_mp()
-        nu = params.nu_mp()
-        if method == "integral":
-            if cache is None:
-                cache = ModeCache(params, {record.k: record}, ctx)
-            return _integral(cache, BasisFunction(record.k), record.k)
-        deriv = jnu3_derivative(params, record.j, ctx).value
-        z_shift = record.scaled(params, ctx)
+    if method == "integral":
+        return _integral(cache, BasisFunction(k), k)
+    with cache.ctx.workdps(10):
+        q = cache.params.q_mp()
+        nu = cache.params.nu_mp()
         if method == "closed_form_nu_plus_1":
-            with mp.workdps(ctx.digits + 40):
-                up = QParams(params.q, params.nu_mp() + 1)
-            jval = jnu3(up, z_shift, ctx).value
-            return (q - 1) / 2 * q ** (nu - 1) * jval * deriv
-        jval = jnu3(params, z_shift, ctx).value
-        return (q - 1) / (2 * record.j) * q ** (nu - 2) * jval * deriv
+            return ((q - 1) / 2 * q ** (nu - 1) * cache.upper(k)
+                    * cache.derivative(k))
+        return ((q - 1) / (2 * cache.records[k].j) * q ** (nu - 2)
+                * cache.value(k, 0) * cache.derivative(k))
 
 
-def coefficient(params: QParams, f, record: ZeroRecord,
-                eta_value: Numeric, ctx: PrecisionContext,
-                cache: ModeCache | None = None) -> mpf:
+def coefficient(cache: ModeCache, f, k: int, eta_value: Numeric) -> mpf:
     """Expansion coefficient a_k(f) = (1/eta_k) integral t f(t) J_nu(q j_k t).
 
     The integral is the lattice sum (1-q) sum_j q^(2j) f(q^j) J_nu(q j_k q^j).
@@ -164,34 +171,31 @@ def coefficient(params: QParams, f, record: ZeroRecord,
     its samples) or a BasisFunction (read from the cache, which must then
     hold its zero record).
     """
-    with ctx.workdps(10):
+    with cache.ctx.workdps(10):
         eta = _as_mp(eta_value)
         if not eta > 0:
             raise ValueError("eta_k must be positive")
-        if cache is None:
-            cache = ModeCache(params, {record.k: record}, ctx)
-        return _integral(cache, f, record.k) / eta
+        return _integral(cache, f, k) / eta
 
 
-def partial_sum(params: QParams, coeffs: Sequence, records: dict,
-                x_points: Iterable, K: int, ctx: PrecisionContext) -> list:
+def partial_sum(cache: ModeCache, coeffs: Sequence, x_points: Iterable,
+                K: int) -> list:
     """S_K(x) = sum_{k=1..K} a_k J_nu(q j_k x; q^2) at each requested x."""
     if K > len(coeffs):
         raise ValueError(f"K={K} exceeds available coefficients")
+    params, ctx = cache.params, cache.ctx
     out = []
     with ctx.workdps(10):
         for x in x_points:
             s = mpf(0)
             for k in range(1, K + 1):
-                z = records[k].scaled(params, ctx, x=x)
+                z = cache.records[k].scaled(params, ctx, x=x)
                 s += _as_mp(coeffs[k - 1]) * jnu3(params, z, ctx).value
             out.append(s)
     return out
 
 
-def gram_matrix(params: QParams, records: dict[int, ZeroRecord], K: int,
-                ctx: PrecisionContext,
-                cache: ModeCache | None = None) -> list[list[mpf]]:
+def gram_matrix(cache: ModeCache, K: int) -> list[list[mpf]]:
     """Gram matrix G[n][m] = <u_n, u_m> of the orthonormal system
 
     u_k(x) = x^(1/2) J_nu(q j_k x; q^2) / sqrt(eta_k), expected ~ identity.
@@ -201,11 +205,9 @@ def gram_matrix(params: QParams, records: dict[int, ZeroRecord], K: int,
     by itself.
     """
     for k in range(1, K + 1):
-        if k not in records:
+        if k not in cache.records:
             raise ValueError(f"zero record for k={k} missing")
-    if cache is None:
-        cache = ModeCache(params, records, ctx)
-    with ctx.workdps(10):
+    with cache.ctx.workdps(10):
         roots = [cache.eta_root(k) for k in range(1, K + 1)]
         g = [[mpf(0)] * K for _ in range(K)]
         for n in range(1, K + 1):
@@ -217,10 +219,8 @@ def gram_matrix(params: QParams, records: dict[int, ZeroRecord], K: int,
     return g
 
 
-def riemann_lebesgue_rate(params: QParams, f, records: dict,
-                          m_values: Iterable[int],
-                          ctx: PrecisionContext,
-                          cache: ModeCache | None = None) -> dict:
+def riemann_lebesgue_rate(cache: ModeCache, f,
+                          m_values: Iterable[int]) -> dict:
     """Decay diagnostics for I_m = integral t f(t) J_nu(q j_m t; q^2) d_q t.
 
     Reports |I_m|, successive ratios, the rate statistic |I_m| q^(-m), and
@@ -229,11 +229,9 @@ def riemann_lebesgue_rate(params: QParams, f, records: dict,
     The hypothesis t^(1/2) f in L_q^2[0,1] is checked via the finiteness of
     that weighted norm; a violation is reported, not fatal.
     """
-    if cache is None:
-        cache = ModeCache(params, records, ctx)
     rows = []
-    with ctx.workdps(10):
-        q = params.q_mp()
+    with cache.ctx.workdps(10):
+        q = cache.params.q_mp()
         # integral of t |f|^2: the squared norm of t^(1/2) f
         try:
             value, mode, count = _read(f, cache)
@@ -241,7 +239,7 @@ def riemann_lebesgue_rate(params: QParams, f, records: dict,
                 wnorm2 = _integral(cache, f, mode)
             else:
                 wnorm2 = lattice_sum(lambda j, t: t * t * value(j, t) ** 2,
-                                     q, ctx, 9, n=count)
+                                     q, cache.ctx, 9, n=count)
             hypothesis_ok = mp.isfinite(wnorm2)
         except (PrecisionError, OverflowError):
             wnorm2 = mp.inf
@@ -250,7 +248,7 @@ def riemann_lebesgue_rate(params: QParams, f, records: dict,
         prev_abs = None
         for m in m_values:
             eta_root = cache.eta_root(m)
-            i_m = coefficient(params, f, records[m], 1, ctx, cache=cache)
+            i_m = coefficient(cache, f, m, 1)
             rate = abs(i_m) * q ** (-m)
             sup_rate = max(sup_rate, rate)
             envelope = (mp.sqrt(wnorm2) * eta_root
@@ -319,10 +317,9 @@ def expand(params: QParams, f, records: dict[int, ZeroRecord], K: int,
         for k in range(1, K + 1):
             e = cache.eta(k)
             etas.append(e)
-            coeffs.append(coefficient(params, f, records[k], e, ctx,
-                                      cache=cache))
+            coeffs.append(coefficient(cache, f, k, e))
         xs = [q ** j for j in range(LATTICE_SAMPLES)]
-        values = partial_sum(params, coeffs, records, xs, K, ctx)
+        values = partial_sum(cache, coeffs, xs, K)
         decay = {}
         if K >= 2:
             with mp.workdps(30):

@@ -157,13 +157,6 @@ class VerificationReport:
         return buf.getvalue()
 
 
-def _decay_rows(params, ctx, records, cache, kmax) -> list[dict]:
-    """verify_decay_bounds rows for k = 1..kmax at ctx, computed once per
-    report for derivative-decay and shifted-value-bound."""
-    return cache.memo("decay_rows", lambda: verify_decay_bounds(
-        params, range(1, kmax + 1), records, ctx)["rows"])
-
-
 def _default_theta_zero(m: int) -> mpf:
     return 1 / mp.mpf(m) ** 2
 
@@ -252,26 +245,37 @@ def _check_shifted_zeros(params, ctx, records, cache, kmax):
                           for r in rows]})
 
 
+def _derivative_ratios(cache: ModeCache, ks: range) -> list[mpf]:
+    """|J'_nu(j_m;q^2)| * q^(m(m+nu-2)) for m in ks, at the cache's
+    precision."""
+    with cache.ctx.workdps(10):
+        q = cache.params.q_mp()
+        nu = cache.params.nu_mp()
+        return [abs(cache.derivative(m)) * q ** (m * (m + nu - 2))
+                for m in ks]
+
+
 def _check_derivative_decay(params, ctx, records, cache, kmax):
     m_lo = min(4, kmax)
-    rows = [r for r in _decay_rows(params, ctx, records, cache, kmax)
-            if r["k"] >= m_lo]
-    ctx2 = PrecisionContext(2 * ctx.digits)
-    rep2 = verify_decay_bounds(params, range(m_lo, kmax + 1), records, ctx2)
+    ks = range(m_lo, kmax + 1)
+    ratios = _derivative_ratios(cache, ks)
+    ratios2 = _derivative_ratios(
+        ModeCache(params, records, PrecisionContext(2 * ctx.digits)), ks)
     with mp.workdps(ctx.digits):
-        sup1 = max(r["ratio_a"] for r in rows)
-        sup2 = max(r["ratio_a"] for r in rep2["rows"])
+        sup1 = max(ratios)
+        sup2 = max(ratios2)
         stable = sup2 <= sup1 * (1 + mpf(10) ** (-30))
     ok = mp.isfinite(sup1) and stable
     return ok, {"m_range": [m_lo, kmax]}, dict(
         margin=sup1,
         details={"sup_ratio": sup1, "sup_ratio_doubled_digits": sup2,
-                 "rows": [{"k": r["k"], "ratio_a": r["ratio_a"]}
-                          for r in rows]})
+                 "rows": [{"k": k, "ratio_a": r}
+                          for k, r in zip(ks, ratios)]})
 
 
 def _check_shifted_value_bound(params, ctx, records, cache, kmax):
-    rows = _decay_rows(params, ctx, records, cache, kmax)
+    rows = verify_decay_bounds(params, range(1, kmax + 1), records,
+                               ctx)["rows"]
     k_b = min(4, kmax)
     ok = (all(r["holds_b"] for r in rows if r["k"] >= k_b)
           and all(r["holds_c"] for r in rows if r["k"] >= 2)
@@ -311,7 +315,7 @@ def _check_eta_decay(params, ctx, records, cache, kmax):
 
 def _check_gram(params, ctx, records, cache, kmax, tol):
     K = min(GRAM_SIZE, kmax)
-    g = gram_matrix(params, records, K, ctx, cache)
+    g = gram_matrix(cache, K)
     with mp.workdps(ctx.digits):
         resid = max(abs(g[i][j] - (1 if i == j else 0))
                     for i in range(K) for j in range(K))
@@ -327,8 +331,7 @@ def _check_riemann_lebesgue(params, ctx, records, cache, kmax, functions):
     ok = True
     sups = []
     for name, f in functions:
-        rep = riemann_lebesgue_rate(params, f, records,
-                                    range(1, kmax + 1), ctx, cache)
+        rep = riemann_lebesgue_rate(cache, f, range(1, kmax + 1))
         with mp.workdps(ctx.digits):
             arg_sup = max(rep["rows"], key=lambda r: r["rate"])["m"]
         f_ok = (rep["hypothesis_ok"]
@@ -382,9 +385,7 @@ def _check_consistency(params, ctx, records, cache, kmax):
         worst_eta = mpf(0)
         eta_kmax = min(kmax, 10)
         for k in range(1, eta_kmax + 1):
-            vals = [cache.eta(k) if m == "closed_form_nu_plus_1"
-                    else eta_k(params, records[k], ctx, m, cache)
-                    for m in ETA_METHODS]
+            vals = [eta_k(cache, k, m) for m in ETA_METHODS]
             with mp.workdps(ctx.digits):
                 rel = max(abs(v - vals[0]) / abs(vals[0]) for v in vals[1:])
             worst_eta = max(worst_eta, rel)
@@ -393,10 +394,8 @@ def _check_consistency(params, ctx, records, cache, kmax):
         worst_rec = mpf(0)
         for k in range(1, min(kmax, 8) + 1):
             z_shift = records[k].scaled(params, ctx)
-            with mp.workdps(ctx.digits + 40):
-                up = QParams(params.q, params.nu_mp() + 1)
-            lhs = jnu3(up, z_shift, ctx).value
-            rhs = jnu3(params, z_shift, ctx).value
+            lhs = cache.upper(k)
+            rhs = cache.value(k, 0)
             with mp.workdps(ctx.digits):
                 rel = abs(lhs - rhs / z_shift) / abs(lhs)
             worst_rec = max(worst_rec, rel)

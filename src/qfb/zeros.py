@@ -72,8 +72,9 @@ class ZeroRecord:
 
 
 def alpha_k(params: QParams, k: int,
-            ctx: PrecisionContext | None = None) -> mpf:
-    """alpha_k = log(1 - q^(2(k+nu)) / (1 - q^(2k))) / (2 log q)."""
+            ctx: PrecisionContext | None = None) -> mpf | None:
+    """alpha_k = log(1 - q^(2(k+nu)) / (1 - q^(2k))) / (2 log q), or None
+    where the log argument is <= 0 (q near 1 at small k)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     dps = (ctx.digits if ctx is not None else max(mp.dps, 60)) + 10
@@ -81,11 +82,7 @@ def alpha_k(params: QParams, k: int,
         q = params.q_mp()
         nu = params.nu_mp()
         arg = 1 - q ** (2 * (k + nu)) / (1 - q ** (2 * k))
-        if not arg > 0:
-            raise ValueError(
-                f"alpha_k undefined: log argument {mp.nstr(arg, 8)} <= 0 "
-                f"at k={k}, q={params.q}, nu={params.nu}")
-        return mp.log(arg) / (2 * mp.log(q))
+        return mp.log(arg) / (2 * mp.log(q)) if arg > 0 else None
 
 
 def _sgn(v: mpf) -> int:
@@ -160,10 +157,7 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
     with ctx.workdps(10):
         q = params.q_mp()
         hi = q ** (-k)
-        try:
-            a = alpha_k(params, k, ctx)
-        except ValueError:
-            a = None
+        a = alpha_k(params, k, ctx)
         if a is not None and a <= mpf(1) / 5:
             lo = q ** (-k + a)
             inside = prev_zero is None or lo > prev_zero
@@ -272,10 +266,7 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
         # q re-derived at the final working precision: eps_k can be smaller
         # than the *initial* working precision's representation of log q.
         eps = k + mp.log(j) / mp.log(params.q_mp())
-        try:
-            a = alpha_k(params, k, ctx)
-        except ValueError:
-            a = None
+        a = alpha_k(params, k, ctx)
         # the asymptotic localisation claim, checked on the refined zero
         asymptotic_ok = a is not None and bool(0 < eps < a)
     return ZeroRecord(k=k, bracket_lo=bracket_lo, bracket_hi=bracket_hi,
@@ -342,12 +333,10 @@ def verify_shifted_zero(params: QParams, k: int,
             "margin_upper": (upper - shifted) / upper,
             "eps_decreasing": records[k].epsilon_k < records[k - 1].epsilon_k,
         }
-        if k + 1 in records:
-            comp_lo = q ** (-k - 1 + alpha_k(params, k + 1))
-            comp = jk / q
-            row["companion_holds"] = bool(comp_lo < comp < records[k + 1].j)
-        else:
-            row["companion_holds"] = None
+        # alpha_(k+1) is None only where record k+1 is not asymptotic
+        a = alpha_k(params, k + 1) if k + 1 in records else None
+        row["companion_holds"] = None if a is None else bool(
+            q ** (-k - 1 + a) < jk / q < records[k + 1].j)
     return row
 
 
@@ -431,10 +420,7 @@ def verify_sign_constancy(params: QParams, m_values: Iterable[int],
     with ctx.workdps(10):
         q = params.q_mp()
         for m in m_values:
-            try:
-                th = alpha_k(params, m, ctx)
-            except ValueError:
-                th = None
+            th = alpha_k(params, m, ctx)
             if th is None or not th < 1:
                 skipped.append(m)
                 continue
@@ -458,10 +444,9 @@ def verify_sign_constancy(params: QParams, m_values: Iterable[int],
 def verify_decay_bounds(params: QParams, k_values: Iterable[int],
                         records: dict[int, ZeroRecord],
                         ctx: PrecisionContext) -> dict:
-    """Decay diagnostics at the refined zeros.
+    """Shifted-value bounds at the refined zeros.
 
-    Per index m/k:
-      (a) ratio_a = |J'_nu(j_m;q^2)| * q^(m(m+nu-2))  (expected bounded),
+    Per index k:
       (b) |J_nu(q j_k;q^2)| against the explicit bound
           [(-q^2, -q^(2(nu+1)); q^2)_inf / (q^2;q^2)_inf] * q^((k+nu)(k-1)),
       (c) |J_nu(q^(-k+1);q^2)| against the same bound,
@@ -480,8 +465,6 @@ def verify_decay_bounds(params: QParams, k_values: Iterable[int],
                / ((1 - q2) * qpochhammer_infinite(q2, q2, ctx) ** 2))
         for k in k_values:
             rec = records[k]
-            jd = abs(jnu3_derivative(params, rec.j, ctx).value)
-            ratio_a = jd * q ** (k * (k + nu - 2))
             # q*j_k lies superexponentially close to j_(k-1)
             j_shift = abs(jnu3(params, rec.scaled(params, ctx), ctx).value)
             bound_b = cq * q ** ((k + nu) * (k - 1))
@@ -491,7 +474,6 @@ def verify_decay_bounds(params: QParams, k_values: Iterable[int],
             bound_d = bmu * q ** (-(k + (nu - 3) / 2 - rec.epsilon_k) ** 2)
             rows.append({
                 "k": k,
-                "ratio_a": ratio_a,
                 "shifted_value": j_shift,
                 "bound_b": bound_b,
                 "holds_b": bool(j_shift <= bound_b),

@@ -145,6 +145,22 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_q_near_one_reports_where_alpha_is_undefined(self, capsys):
+        # alpha_3 is undefined at (0.9, 0): record 3 is not asymptotic, so
+        # the companion row of k = 2 is not judged and the check fails on
+        # its threshold, with a report rather than an error
+        code, out, err = run(["verify", "--q", "0.9", "--nu", "0",
+                              "--kmax", "4", "--digits", "40",
+                              "--check", "shifted-zeros", "--format", "json"],
+                             capsys)
+        assert code == 1, err
+        [result] = json.loads(out)["results"]
+        assert result["status"] == "fail"
+        assert result["details"]["k0"] is None
+        assert result["details"]["rows"][0] == {
+            "k": 2, "holds": True, "eps_decreasing": True,
+            "companion_holds": None}
+
     def test_unknown_check_exits_2(self, capsys):
         code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
                             "--check", "bogus", "--digits", "40"], capsys)

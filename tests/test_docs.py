@@ -1,9 +1,11 @@
 """Traceability: every report anchor must appear in the docs matrix, the
 package version matches the project metadata, every public name has a
-use, and committed benchmark evidence follows the format the README
-describes."""
+use, every code name the docs cite exists, the README's examples run, and
+committed benchmark evidence follows the format the README describes."""
 
+import importlib
 import json
+import pkgutil
 import re
 import statistics
 from pathlib import Path
@@ -15,6 +17,7 @@ from qfb import ANCHORS, CHECK_IDS
 
 ROOT = Path(__file__).resolve().parent.parent
 DOC = ROOT / "docs" / "checks.md"
+README = ROOT / "README.md"
 
 
 def test_docs_page_exists():
@@ -39,10 +42,47 @@ def test_version_matches_pyproject():
     assert match and qfb.__version__ == match.group(1)
 
 
+def _cited_names() -> list[tuple[str, object, str]]:
+    """(citation, owner, attribute) for every backticked `qfb.module.name`,
+    `module.name` (a qfb module) and `Class.name` (a qfb class) in the
+    docs page and the README."""
+    modules = {m.name for m in pkgutil.iter_modules(qfb.__path__)}
+    cited = []
+    for path in (DOC, README):
+        for span in re.findall(r"`([^`\n]+)`", path.read_text("utf-8")):
+            match = re.fullmatch(r"(?:qfb\.)?(\w+)\.(\w+)", span)
+            if match is None:
+                continue
+            owner, attr = match.groups()
+            if owner in modules:
+                cited.append((span, importlib.import_module(f"qfb.{owner}"),
+                              attr))
+            elif owner[0].isupper():
+                cited.append((span, getattr(qfb, owner, None), attr))
+    return cited
+
+
+def test_every_cited_name_resolves():
+    cited = _cited_names()
+    assert cited
+    missing = [span for span, owner, attr in cited
+               if not hasattr(owner, attr)]
+    assert not missing
+
+
+def test_readme_python_examples_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text("utf-8"),
+                        re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_every_public_name_is_used_or_documented():
     # a name in qfb.__all__ is named in the README, read by the benchmark,
     # or used in the package beyond its own definition
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     bench = "".join(p.read_text(encoding="utf-8")
                     for p in (ROOT / "perfbench").glob("*.py"))
     src = "".join(p.read_text(encoding="utf-8")

@@ -28,12 +28,12 @@ def cache(records):
 class TestEta:
     def test_positive(self, records, cache):
         for k in records:
-            assert eta_k(P, records[k], CTX, cache=cache) > 0
+            assert eta_k(cache, k) > 0
 
-    def test_three_methods_agree(self, records, cache):
+    def test_three_methods_agree(self, cache):
         with mp.workdps(70):
             for k in (1, 2, 3):
-                vals = [eta_k(P, records[k], CTX, m, cache)
+                vals = [eta_k(cache, k, m)
                         for m in ("integral", "closed_form_nu_plus_1",
                                   "closed_form_nu")]
                 # agreement is limited by the gap-relative zero refinement,
@@ -49,51 +49,50 @@ class TestEta:
         cache.memo(("eta", 2), lambda: mpf("-0.09"))
         with pytest.raises(PrecisionError, match=r"eta_2 = -0\.09 "):
             if use == "gram":
-                gram_matrix(P, records, 3, CTX, cache)
+                gram_matrix(cache, 3)
             else:
-                riemann_lebesgue_rate(P, lambda t: mpf(1), records,
-                                      range(1, 4), CTX, cache)
+                riemann_lebesgue_rate(cache, lambda t: mpf(1), range(1, 4))
 
     def test_cache_memoises_closed_form(self, records, cache):
         e = cache.eta(2)
         assert cache.eta(2) is e
-        assert e == eta_k(P, records[2], CTX, "closed_form_nu_plus_1")
+        assert e == eta_k(ModeCache(P, records, CTX), 2,
+                          "closed_form_nu_plus_1")
 
-    def test_unknown_method_rejected(self, records):
+    def test_unknown_method_rejected(self, cache):
         with pytest.raises(ValueError):
-            eta_k(P, records[1], CTX, "nope")
+            eta_k(cache, 1, "nope")
 
 
 class TestCoefficient:
-    def test_orthogonality_delta(self, records, cache):
+    def test_orthogonality_delta(self, cache):
         # expanding the n-th basis function must give the n-th unit vector
         f = BasisFunction(2)
         with mp.workdps(60):
             for k in (1, 2, 3):
-                e = eta_k(P, records[k], CTX, cache=cache)
-                a = coefficient(P, f, records[k], e, CTX, cache=cache)
+                e = eta_k(cache, k)
+                a = coefficient(cache, f, k, e)
                 # resolution is set by the gap-relative zero refinement
                 if k == 2:
                     assert abs(a - 1) < mpf(10) ** -20
                 else:
                     assert abs(a) < mpf(10) ** -20
 
-    def test_zero_function_gives_zero(self, records, cache):
-        e = eta_k(P, records[1], CTX, cache=cache)
-        a = coefficient(P, lambda t: mpf(0), records[1], e, CTX, cache=cache)
+    def test_zero_function_gives_zero(self, cache):
+        e = eta_k(cache, 1)
+        a = coefficient(cache, lambda t: mpf(0), 1, e)
         assert a == 0
 
-    def test_nonpositive_eta_rejected(self, records):
+    def test_nonpositive_eta_rejected(self, cache):
         with pytest.raises(ValueError):
-            coefficient(P, lambda t: mpf(1), records[1], 0, CTX)
+            coefficient(cache, lambda t: mpf(1), 1, 0)
 
-    def test_lattice_function_input(self, records, cache):
+    def test_lattice_function_input(self, cache):
         lf = LatticeFunction(values=("1",) * 40, base="0.5")
         with mp.workdps(60):
-            e = eta_k(P, records[1], CTX, cache=cache)
-            a_lat = coefficient(P, lf, records[1], e, CTX, cache=cache)
-            a_call = coefficient(P, lambda t: mpf(1), records[1], e, CTX,
-                                 cache=cache)
+            e = eta_k(cache, 1)
+            a_lat = coefficient(cache, lf, 1, e)
+            a_call = coefficient(cache, lambda t: mpf(1), 1, e)
             # truncation at j=40: tail is below q^40 ~ 1e-12 of the value
             assert abs(a_lat - a_call) <= abs(a_call) * mpf(10) ** -10
 
@@ -101,14 +100,14 @@ class TestCoefficient:
     def test_lattice_function_on_another_base_rejected(self, records, cache):
         lf = LatticeFunction(values=("1",) * 40, base="0.8")
         with pytest.raises(BaseMismatchError):
-            coefficient(P, lf, records[1], 1, CTX, cache=cache)
+            coefficient(cache, lf, 1, 1)
         with pytest.raises(BaseMismatchError):
             expand(P, lf, records, 2, CTX)
 
     def test_mode_beyond_zero_table_rejected(self, records, cache):
         f = BasisFunction(5)
         with pytest.raises(ValueError, match="mode 5"):
-            coefficient(P, f, records[1], 1, CTX, cache=cache)
+            coefficient(cache, f, 1, 1)
         with pytest.raises(ValueError, match="mode 5"):
             expand(P, f, records, 2, CTX)
         with pytest.raises(ValueError, match="mode 5"):
@@ -122,8 +121,8 @@ class TestBesselInequality:
             f = lambda t: mpf(1)
             total = mpf(0)
             for k in sorted(records):
-                e = eta_k(P, records[k], CTX, cache=cache)
-                a = coefficient(P, f, records[k], e, CTX, cache=cache)
+                e = eta_k(cache, k)
+                a = coefficient(cache, f, k, e)
                 total += a * a * e
             norm2 = qintegral_01(lambda t: t * f(t) ** 2, CTX, q=P.q)
             assert total <= norm2 * (1 + mpf(10) ** -40)
@@ -135,23 +134,22 @@ class TestPartialSum:
         with mp.workdps(60):
             coeffs = []
             for k in sorted(records):
-                e = eta_k(P, records[k], CTX, cache=cache)
-                coeffs.append(coefficient(P, BasisFunction(2), records[k], e,
-                                          CTX, cache=cache))
+                e = eta_k(cache, k)
+                coeffs.append(coefficient(cache, BasisFunction(2), k, e))
             q = P.q_mp()
             xs = [q ** j for j in range(5)]
-            vals = partial_sum(P, coeffs, records, xs, 3, CTX)
+            vals = partial_sum(cache, coeffs, xs, 3)
             for j, v in enumerate(vals):
                 want = cache.value(2, j)
                 assert abs(v - want) <= max(abs(want), mpf(1)) * mpf(10) ** -18
 
-    def test_k_zero_is_identically_zero(self, records):
-        vals = partial_sum(P, [], records, [mpf(1), mpf("0.5")], 0, CTX)
+    def test_k_zero_is_identically_zero(self, cache):
+        vals = partial_sum(cache, [], [mpf(1), mpf("0.5")], 0)
         assert all(v == 0 for v in vals)
 
-    def test_k_exceeding_coeffs_rejected(self, records):
+    def test_k_exceeding_coeffs_rejected(self, cache):
         with pytest.raises(ValueError):
-            partial_sum(P, [mpf(1)], records, [mpf(1)], 2, CTX)
+            partial_sum(cache, [mpf(1)], [mpf(1)], 2)
 
 
 class TestExpansionIdempotence:
@@ -173,8 +171,8 @@ class TestExpansionIdempotence:
 
 
 class TestGram:
-    def test_identity_symmetric(self, records, cache):
-        g = gram_matrix(P, records, 3, CTX, cache)
+    def test_identity_symmetric(self, cache):
+        g = gram_matrix(cache, 3)
         with mp.workdps(60):
             for i in range(3):
                 for j in range(3):
@@ -182,24 +180,22 @@ class TestGram:
                     target = 1 if i == j else 0
                     assert abs(g[i][j] - target) < mpf(10) ** -14
 
-    def test_missing_record_rejected(self, records):
+    def test_missing_record_rejected(self, cache):
         with pytest.raises(ValueError):
-            gram_matrix(P, records, 9, CTX)
+            gram_matrix(cache, 9)
 
 
 class TestRiemannLebesgue:
-    def test_constant_function_decay(self, records, cache):
-        rep = riemann_lebesgue_rate(P, lambda t: mpf(1), records,
-                                    range(1, 5), CTX, cache)
+    def test_constant_function_decay(self, cache):
+        rep = riemann_lebesgue_rate(cache, lambda t: mpf(1), range(1, 5))
         assert rep["hypothesis_ok"]
         assert mp.isfinite(rep["sup_rate"])
         assert all(r["cs_holds"] for r in rep["rows"])
         mags = [abs(r["integral"]) for r in rep["rows"]]
         assert all(a > b for a, b in zip(mags, mags[1:]))
 
-    def test_basis_function_input(self, records, cache):
-        rep = riemann_lebesgue_rate(P, BasisFunction(1), records,
-                                    range(1, 4), CTX, cache)
+    def test_basis_function_input(self, cache):
+        rep = riemann_lebesgue_rate(cache, BasisFunction(1), range(1, 4))
         assert rep["hypothesis_ok"]
         assert all(r["cs_holds"] for r in rep["rows"])
 

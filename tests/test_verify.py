@@ -1,8 +1,11 @@
-"""run_checks API: the settings it accepts."""
+"""run_checks API: the settings it accepts and the work it shares."""
+
+import importlib
+from collections import Counter
 
 import pytest
 
-from qfb import PrecisionContext, QParams, run_checks
+from qfb import PrecisionContext, QParams, run_checks, zero_table
 
 
 def test_unknown_option_rejected_before_any_work():
@@ -44,3 +47,25 @@ def test_check_setting_read_only_by_its_check(monkeypatch):
                         check_ids=["gram"], samples_per_interval=0,
                         gram_tol="1e-5")
     assert [r.check for r in report.results] == ["gram"]
+
+
+def test_derivative_at_each_zero_is_evaluated_once(monkeypatch):
+    # J'_nu(j_k) feeds both closed forms of eta_k and derivative-decay: one
+    # evaluation per zero at the report's digits, and one per zero that
+    # derivative-decay (m >= min(4, kmax)) repeats at doubled digits
+    params, ctx = QParams("0.5", "0"), PrecisionContext(40)
+    zeros = {r.j: r.k for r in zero_table(params, 3, ctx)}
+    calls = Counter()
+
+    def counted(original):
+        def wrapper(p, z, c, *args, **kwargs):
+            if not callable(z) and z in zeros:
+                calls[zeros[z], c.digits] += 1
+            return original(p, z, c, *args, **kwargs)
+        return wrapper
+
+    for module in ("qfb.expansion", "qfb.zeros"):
+        original = importlib.import_module(module).jnu3_derivative
+        monkeypatch.setattr(f"{module}.jnu3_derivative", counted(original))
+    run_checks(params, ctx, kmax=3)
+    assert calls == {(1, 40): 1, (2, 40): 1, (3, 40): 1, (3, 80): 1}
