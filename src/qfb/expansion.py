@@ -46,8 +46,7 @@ class BasisFunction:
 class ModeCache:
     """Lazy cache of per-zero values, the one place where they are
     evaluated: basis-function values J_nu(q j_k q^j; q^2), J'_nu(j_k; q^2),
-    J_(nu+1)(q j_k; q^2), the closed-form eta_k, and what the checks
-    memoise.
+    J_(nu+1)(q j_k; q^2) and the closed-form eta_k.
 
     Values are computed once per key at the context's precision; the
     per-point adaptive escalation makes each one accurate relative to its
@@ -178,19 +177,16 @@ def coefficient(cache: ModeCache, f, k: int, eta_value: Numeric) -> mpf:
         return _integral(cache, f, k) / eta
 
 
-def partial_sum(cache: ModeCache, coeffs: Sequence, x_points: Iterable,
-                K: int) -> list:
-    """S_K(x) = sum_{k=1..K} a_k J_nu(q j_k x; q^2) at each requested x."""
-    if K > len(coeffs):
-        raise ValueError(f"K={K} exceeds available coefficients")
-    params, ctx = cache.params, cache.ctx
+def partial_sum(cache: ModeCache, coeffs: Sequence) -> list:
+    """S_K(q^j) = sum_{k=1..K} a_k J_nu(q^(j+1) j_k; q^2) at the lattice
+    points q^j, j < LATTICE_SAMPLES, with K = len(coeffs); the mode values
+    are read from the cache."""
     out = []
-    with ctx.workdps(10):
-        for x in x_points:
+    with cache.ctx.workdps(10):
+        for j in range(LATTICE_SAMPLES):
             s = mpf(0)
-            for k in range(1, K + 1):
-                z = cache.records[k].scaled(params, ctx, x=x)
-                s += _as_mp(coeffs[k - 1]) * jnu3(params, z, ctx).value
+            for k, a in enumerate(coeffs, 1):
+                s += _as_mp(a) * cache.value(k, j)
             out.append(s)
     return out
 
@@ -319,7 +315,7 @@ def expand(params: QParams, f, records: dict[int, ZeroRecord], K: int,
             etas.append(e)
             coeffs.append(coefficient(cache, f, k, e))
         xs = [q ** j for j in range(LATTICE_SAMPLES)]
-        values = partial_sum(cache, coeffs, xs, K)
+        values = partial_sum(cache, coeffs)
         decay = {}
         if K >= 2:
             with mp.workdps(30):

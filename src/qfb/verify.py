@@ -274,8 +274,7 @@ def _check_derivative_decay(params, ctx, records, cache, kmax):
 
 
 def _check_shifted_value_bound(params, ctx, records, cache, kmax):
-    rows = verify_decay_bounds(params, range(1, kmax + 1), records,
-                               ctx)["rows"]
+    rows = verify_decay_bounds(cache, range(1, kmax + 1))["rows"]
     k_b = min(4, kmax)
     ok = (all(r["holds_b"] for r in rows if r["k"] >= k_b)
           and all(r["holds_c"] for r in rows if r["k"] >= 2)

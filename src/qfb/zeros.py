@@ -15,14 +15,17 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from mpmath import mp, mpf
 
-from .precision import PrecisionContext
+from .precision import PrecisionContext, PrecisionError
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_multi, \
     qpochhammer_infinite
 from .qspecial import jnu3, jnu3_derivative, phi11_derivative
+
+if TYPE_CHECKING:   # expansion imports zeros
+    from .expansion import ModeCache
 
 SCAN_RATIO = mpf(1) + mpf(1) / 1000   # no two zeros share a cell for k <= 12
 # J' samples per interval of the sign-constancy check
@@ -50,11 +53,11 @@ class ZeroRecord:
     # because those arguments land superexponentially close to other zeros.
     arg_dps: int = 0
 
-    def scaled(self, params: QParams, ctx: PrecisionContext, m: int = 1,
-               x: Numeric = 1) -> mpf:
-        """The argument q^m * j * x, formed at the precision j carries."""
+    def scaled(self, params: QParams, ctx: PrecisionContext,
+               m: int = 1) -> mpf:
+        """The argument q^m * j, formed at the precision j carries."""
         with mp.workdps(max(ctx.digits + 10, self.arg_dps)):
-            return params.q_mp() ** m * self.j * _as_mp(x)
+            return params.q_mp() ** m * self.j
 
     def to_json_dict(self, digits: int = 50) -> dict:
         with mp.workdps(digits + 10):
@@ -136,7 +139,7 @@ def _materialize_endpoint(params: QParams, point: Callable[[], mpf],
         if _sign(params, v, PrecisionContext(dps)) == s_target:
             return v
         dps *= 2
-    raise RuntimeError(
+    raise PrecisionError(
         "could not represent a bracket endpoint on the correct side of "
         f"the zero at q={params.q}, nu={params.nu}")
 
@@ -259,7 +262,7 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
             hi = mid
         iters += 1
         if iters > max_iters:
-            raise RuntimeError(f"bisection did not converge at k={k}")
+            raise PrecisionError(f"bisection did not converge at k={k}")
 
     with mp.workdps(work_dps):
         j = (lo + hi) / 2
@@ -441,10 +444,8 @@ def verify_sign_constancy(params: QParams, m_values: Iterable[int],
             "skipped": skipped}
 
 
-def verify_decay_bounds(params: QParams, k_values: Iterable[int],
-                        records: dict[int, ZeroRecord],
-                        ctx: PrecisionContext) -> dict:
-    """Shifted-value bounds at the refined zeros.
+def verify_decay_bounds(cache: ModeCache, k_values: Iterable[int]) -> dict:
+    """Shifted-value bounds at the refined zeros of the cache's records.
 
     Per index k:
       (b) |J_nu(q j_k;q^2)| against the explicit bound
@@ -453,7 +454,9 @@ def verify_decay_bounds(params: QParams, k_values: Iterable[int],
       (d) |J_nu(q j_k;q^2)| against the enlarged bound
           B_mu(q) * q^(-(k+(mu-3)/2-eps_k)^2) with mu = nu and
           B_mu(q) = q^((mu/2)(mu/2-1)) / ((1-q^2)(q^2;q^2)_inf^2).
+    (b) and (d) read J_nu(q j_k;q^2) from the cache (its value(k, 0)).
     """
+    params, ctx = cache.params, cache.ctx
     rows = []
     with ctx.workdps(10):
         q = params.q_mp()
@@ -464,9 +467,8 @@ def verify_decay_bounds(params: QParams, k_values: Iterable[int],
         bmu = (q ** ((nu / 2) * (nu / 2 - 1))
                / ((1 - q2) * qpochhammer_infinite(q2, q2, ctx) ** 2))
         for k in k_values:
-            rec = records[k]
-            # q*j_k lies superexponentially close to j_(k-1)
-            j_shift = abs(jnu3(params, rec.scaled(params, ctx), ctx).value)
+            rec = cache.records[k]
+            j_shift = abs(cache.value(k, 0))
             bound_b = cq * q ** ((k + nu) * (k - 1))
             j_lattice = abs(jnu3(
                 params, (lambda kk: lambda: params.q_mp() ** (-kk + 1))(k),

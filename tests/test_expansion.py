@@ -8,7 +8,8 @@ from mpmath import mp, mpf
 from qfb import (BaseMismatchError, BasisFunction, LatticeFunction, ModeCache,
                  PrecisionContext, PrecisionError, QParams, coefficient,
                  eta_k, expand, gram_matrix, jnu3, partial_sum, qintegral_01,
-                 riemann_lebesgue_rate, run_checks)
+                 riemann_lebesgue_rate, run_checks, zero_table)
+from qfb.expansion import LATTICE_SAMPLES
 
 CTX = PrecisionContext(digits=50)
 P = QParams("0.5", "0")
@@ -16,7 +17,6 @@ P = QParams("0.5", "0")
 
 @pytest.fixture(scope="module")
 def records():
-    from qfb import zero_table
     return {r.k: r for r in zero_table(P, 4, CTX)}
 
 
@@ -136,20 +136,30 @@ class TestPartialSum:
             for k in sorted(records):
                 e = eta_k(cache, k)
                 coeffs.append(coefficient(cache, BasisFunction(2), k, e))
-            q = P.q_mp()
-            xs = [q ** j for j in range(5)]
-            vals = partial_sum(cache, coeffs, xs, 3)
+            vals = partial_sum(cache, coeffs[:3])
             for j, v in enumerate(vals):
                 want = cache.value(2, j)
                 assert abs(v - want) <= max(abs(want), mpf(1)) * mpf(10) ** -18
 
     def test_k_zero_is_identically_zero(self, cache):
-        vals = partial_sum(cache, [], [mpf(1), mpf("0.5")], 0)
+        vals = partial_sum(cache, [])
+        assert len(vals) == LATTICE_SAMPLES
         assert all(v == 0 for v in vals)
 
-    def test_k_exceeding_coeffs_rejected(self, cache):
-        with pytest.raises(ValueError):
-            partial_sum(cache, [mpf(1)], [mpf(1)], 2)
+    def test_accurate_to_the_requested_digits(self):
+        # q^(j+1) j_k lies superexponentially close to smaller zeros, so
+        # S_K(q^j) is accurate only if its arguments carry the zeros'
+        # precision: compare with the same sum over a doubled-digit cache
+        params, ctx = QParams("0.3", "2.5"), PrecisionContext(60)
+        records = {r.k: r for r in zero_table(params, 8, ctx)}
+        result = expand(params, lambda t: mpf(1), records, 8, ctx)
+        ref = ModeCache(params, records, PrecisionContext(120))
+        with mp.workdps(130):
+            for j, got in enumerate(result.partial_sum_values):
+                want = mpf(0)
+                for k, a in enumerate(result.coeffs, 1):
+                    want += a * ref.value(k, j)
+                assert abs(got - want) <= abs(want) * mpf(10) ** -60
 
 
 class TestExpansionIdempotence:
@@ -159,7 +169,8 @@ class TestExpansionIdempotence:
         def f(t):
             total = mpf(0)
             for c, n in ((mpf(2), 1), (mpf("-0.5"), 3)):
-                z = records[n].scaled(P, CTX, x=t)
+                with mp.workdps(max(CTX.digits + 10, records[n].arg_dps)):
+                    z = P.q_mp() * records[n].j * t
                 total += c * jnu3(P, z, CTX).value
             return total
 

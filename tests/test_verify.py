@@ -52,20 +52,31 @@ def test_check_setting_read_only_by_its_check(monkeypatch):
 def test_derivative_at_each_zero_is_evaluated_once(monkeypatch):
     # J'_nu(j_k) feeds both closed forms of eta_k and derivative-decay: one
     # evaluation per zero at the report's digits, and one per zero that
-    # derivative-decay (m >= min(4, kmax)) repeats at doubled digits
+    # derivative-decay (m >= min(4, kmax)) repeats at doubled digits.
+    # J_nu(q j_k) feeds the nu closed form, the lattice integrals, the order
+    # recurrence and shifted-value-bound: one evaluation per zero
     params, ctx = QParams("0.5", "0"), PrecisionContext(40)
-    zeros = {r.j: r.k for r in zero_table(params, 3, ctx)}
+    records = zero_table(params, 3, ctx)
+    inputs = {"J'": {r.j: r.k for r in records},
+              "J": {r.scaled(params, ctx): r.k for r in records}}
     calls = Counter()
 
-    def counted(original):
+    def counted(name, original):
         def wrapper(p, z, c, *args, **kwargs):
-            if not callable(z) and z in zeros:
-                calls[zeros[z], c.digits] += 1
+            if p == params and not callable(z) and z in inputs[name]:
+                calls[name, inputs[name][z], c.digits] += 1
             return original(p, z, c, *args, **kwargs)
         return wrapper
 
-    for module in ("qfb.expansion", "qfb.zeros"):
-        original = importlib.import_module(module).jnu3_derivative
-        monkeypatch.setattr(f"{module}.jnu3_derivative", counted(original))
+    for module, attr, name in (
+            ("qfb.expansion", "jnu3_derivative", "J'"),
+            ("qfb.zeros", "jnu3_derivative", "J'"),
+            ("qfb.expansion", "jnu3", "J"),
+            ("qfb.zeros", "jnu3", "J"),
+            ("qfb.verify", "jnu3", "J")):
+        original = getattr(importlib.import_module(module), attr)
+        monkeypatch.setattr(f"{module}.{attr}", counted(name, original))
     run_checks(params, ctx, kmax=3)
-    assert calls == {(1, 40): 1, (2, 40): 1, (3, 40): 1, (3, 80): 1}
+    assert calls == {("J'", 1, 40): 1, ("J'", 2, 40): 1, ("J'", 3, 40): 1,
+                     ("J'", 3, 80): 1,
+                     ("J", 1, 40): 1, ("J", 2, 40): 1, ("J", 3, 40): 1}

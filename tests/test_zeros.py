@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 
 import qfb.precision
 import qfb.zeros
-from qfb import (ModeCache, PrecisionContext, QParams, ZeroRecord, alpha_k,
-                 count_zeros_below, dense_scan_brackets,
+from qfb import (ModeCache, PrecisionContext, PrecisionError, QParams,
+                 ZeroRecord, alpha_k, count_zeros_below, dense_scan_brackets,
                  derivative_sign_pattern, empirical_k0, find_zero, jnu3,
                  verify_shifted_zero, verify_sign_constancy, zero_table,
                  zero_table_to_csv, zero_table_to_json)
@@ -88,6 +88,13 @@ class TestFindZero:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             find_zero(P, 0, CTX)
+
+    def test_unrepresentable_endpoint_is_a_precision_error(self,
+                                                           monkeypatch):
+        # a sign that never matches the endpoint's side at any precision
+        monkeypatch.setattr(qfb.zeros, "_sign", lambda p, z, c: 1)
+        with pytest.raises(PrecisionError, match="bracket endpoint"):
+            qfb.zeros._materialize_endpoint(P, lambda: mpf(1), -1, CTX)
 
 
 class TestGoldenTables:
