@@ -6,7 +6,7 @@ can be many orders of magnitude below the largest partial sum.  The policy
 here is: sum once at the requested precision while tracking the largest
 partial-sum magnitude, measure how many digits were lost to cancellation,
 and re-run with that many extra digits until the surviving accuracy meets
-the request.
+the request, or for certified_sign until no rounding can flip the sign.
 """
 
 from __future__ import annotations
@@ -214,3 +214,25 @@ def adaptive_sum(make_terms: Callable[[], Iterable | tuple[Iterable, int]],
         if lost is not None:
             next_dps = max(ctx.digits + lost + EXTRA_GUARD, next_dps)
         dps = min(next_dps, ctx.dps_cap)
+
+
+def certified_sign(make_terms: Callable[[], tuple[Iterable, int]],
+                   dps: int, cap: int) -> tuple[int, int]:
+    """Sign of a series of (ints, exp) passes as for adaptive_sum, and the
+    dps of the pass that certified it: from ``dps`` on, a pass of n terms is
+    accepted once dps >= lost + log10(2 n^2) + EXTRA_GUARD, so that rounding
+    the argument or the steps cannot flip it.  An exact 0 loses all dps
+    digits; reaching ``cap`` uncertified raises PrecisionError."""
+    while True:
+        with mp.workdps(dps + EXTRA_GUARD):
+            terms, exp = make_terms()
+            value, max_mag, n = tracked_sum(terms, dps, MAX_TERMS,
+                                            min_terms=2, exp=exp)
+        lost = dps if value == 0 else _lost_digits(max_mag, value)
+        need = lost + math.log10(2 * n * n) + EXTRA_GUARD
+        if dps >= need:
+            return (1 if value > 0 else -1), dps
+        if dps >= cap:
+            raise PrecisionError(f"no certified sign within {cap} digits")
+        dps = min(max(math.ceil(need) + 5,
+                      math.ceil(dps * ESCALATION_FACTOR)), cap)

@@ -14,10 +14,11 @@ A bucket is the ambient precision plus 16 guard bits, rounded up to a
 multiple of 64 bits; its table derives p from q (or the given base) at that
 precision, so it is never coarser than the pass that reads it.  Tables grow
 lazily with k; all records together hold at most RATIO_CACHE_TERMS ratios,
-and the oldest records are dropped first.  A J series pass runs in
-Python-int fixed point over the tables' integer mantissas.  The 1phi1
-series keep their own mpf term recurrences, so the two routes that
-`consistency` compares stay independent.
+and the oldest records are dropped first.  A J series pass, for a value
+or for jnu3_sign's certified sign, runs in Python-int fixed point over the
+tables' integer mantissas.  The 1phi1 series keep their own mpf term
+recurrences, so the two routes that `consistency` compares stay
+independent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterator
 from mpmath import mp, mpf
 
 from .precision import (EXTRA_GUARD, MAX_TERMS, DivergenceError, EvalResult,
-                        PrecisionContext, adaptive_sum)
+                        PrecisionContext, adaptive_sum, certified_sign)
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_infinite
 
 # most ratios held by all series records together
@@ -213,6 +214,43 @@ def _fixed_factor(x: mpf) -> tuple[int, int]:
     return (man << exp, 0) if exp > 0 else (man, -exp)
 
 
+def _pass_terms(series: _Series, z: Numeric, derivative: bool, last: list):
+    """make_terms of the J (or J') fixed-point pass that _evaluate describes;
+    each pass leaves its z and nu in ``last``."""
+
+    def make_terms() -> tuple[Iterator[int], int]:
+        ratios = series.ratios(1)
+        prec = mp.prec
+        nuv, nu_man, nu_shift = series.nu_at(_round_up(prec + _GUARD_BITS))
+        zv = z() if callable(z) else _as_mp(z)
+        last[:] = zv, nuv
+        z2 = zv * zv
+        zman, zshift = _fixed_factor(z2)
+        lead = 0
+        if derivative:
+            rman, rshift = ratios[0]
+            y1 = (nuv + 2) * z2 * mpf((rman, -rshift))
+            _, man, exp, bc = max(abs(nuv), abs(y1))._mpf_
+            lead = min(0, exp + bc - 1) if man else 0
+        u = lead - prec - _GUARD_BITS
+
+        def terms() -> Iterator[int]:
+            t = 1 << -u
+            k = 0
+            yield t * nu_man if derivative else t
+            while True:
+                if k == len(ratios):
+                    series.ratios(k + 1)
+                rman, rshift = ratios[k]
+                k += 1
+                t = (t * zman >> zshift) * rman >> rshift
+                yield t * (nu_man + (k << (nu_shift + 1))) if derivative else t
+
+        return terms(), (u - nu_shift if derivative else u)
+
+    return make_terms
+
+
 def _evaluate(params: QParams, z: Numeric, ctx: PrecisionContext,
               base: Numeric | None, derivative: bool) -> EvalResult:
     """Shared evaluator for J_nu(z; base) and its z-derivative.
@@ -249,11 +287,8 @@ def _evaluate(params: QParams, z: Numeric, ctx: PrecisionContext,
     if series is None:
         series = _Series(*key)
 
-    def z_mp() -> mpf:
-        return z() if callable(z) else _as_mp(z)
-
     with mp.workdps(50):
-        zv = z_mp()
+        zv = z() if callable(z) else _as_mp(z)
         if not mp.isfinite(zv):
             raise ValueError(f"z must be finite, got {z}")
         if zv < 0 and not series.integer:
@@ -265,38 +300,8 @@ def _evaluate(params: QParams, z: Numeric, ctx: PrecisionContext,
                 f"z = 0 is singular for nu < {1 if derivative else 0}")
     _SERIES.setdefault(key, series)     # no record for a rejected call
     last = []                           # z and nu of the latest pass
-
-    def make_terms() -> tuple[Iterator[int], int]:
-        ratios = series.ratios(1)
-        prec = mp.prec
-        nuv, nu_man, nu_shift = series.nu_at(_round_up(prec + _GUARD_BITS))
-        zv = z_mp()
-        last[:] = zv, nuv
-        z2 = zv * zv
-        zman, zshift = _fixed_factor(z2)
-        lead = 0
-        if derivative:
-            rman, rshift = ratios[0]
-            y1 = (nuv + 2) * z2 * mpf((rman, -rshift))
-            _, man, exp, bc = max(abs(nuv), abs(y1))._mpf_
-            lead = min(0, exp + bc - 1) if man else 0
-        u = lead - prec - _GUARD_BITS
-
-        def terms() -> Iterator[int]:
-            t = 1 << -u
-            k = 0
-            yield t * nu_man if derivative else t
-            while True:
-                if k == len(ratios):
-                    series.ratios(k + 1)
-                rman, rshift = ratios[k]
-                k += 1
-                t = (t * zman >> zshift) * rman >> rshift
-                yield t * (nu_man + (k << (nu_shift + 1))) if derivative else t
-
-        return terms(), (u - nu_shift if derivative else u)
-
-    res = adaptive_sum(make_terms, ctx, min_terms=2)
+    res = adaptive_sum(_pass_terms(series, z, derivative, last), ctx,
+                       min_terms=2)
     pref = series.prefactor(ctx)
     zv, nuv = last
     with mp.workdps(res.precision_used + EXTRA_GUARD):
@@ -327,3 +332,14 @@ def jnu3_derivative(params: QParams, z: Numeric, ctx: PrecisionContext,
                     base: Numeric | None = None) -> EvalResult:
     """z-derivative of J_nu(z; base), by term-by-term differentiation."""
     return _evaluate(params, z, ctx, base, derivative=True)
+
+
+def jnu3_sign(params: QParams, z: Numeric, ctx: PrecisionContext,
+              dps: int) -> tuple[int, int]:
+    """certified_sign of J_nu(z; q^2), z > 0 (a callable z as for jnu3): the
+    prefactor and z^nu are positive, so only the bare series is summed."""
+    key = (params.q, None, params.nu)
+    series = _SERIES.get(key)
+    if series is None:
+        series = _SERIES[key] = _Series(*key)
+    return certified_sign(_pass_terms(series, z, False, []), dps, ctx.dps_cap)

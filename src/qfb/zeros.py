@@ -5,8 +5,11 @@ derivative sign patterns, sign constancy, and decay bounds.
 Zeros sit near q^(-k): j_k = q^(-k+eps_k) with 0 < eps_k < alpha_k from some
 empirically detected index k0 on.  The bracket (q^(-k+alpha_k), q^(-k)) is
 tried first; smaller k fall back to a dense geometric sign scan.  Refinement
-is bisection only, since sign evaluations stay reliable under the adaptive
-cancellation policy while derivative-based steps near critical points do not.
+is bisection only: derivative-based steps near critical points are not
+reliable, but every sign is certified (qspecial.jnu3_sign sums the bare
+series, whose sign is J's for z > 0, until its precision exceeds the digits
+lost to cancellation by a guard).  A scan or a refinement starts each sign
+query 10 digits below the precision that certified its previous one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from mpmath import mp, mpf
 from .precision import PrecisionContext, PrecisionError
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_multi, \
     qpochhammer_infinite
-from .qspecial import jnu3, jnu3_derivative, phi11_derivative
+from .qspecial import jnu3, jnu3_derivative, jnu3_sign, phi11_derivative
 
 if TYPE_CHECKING:   # expansion imports zeros
     from .expansion import ModeCache
@@ -92,8 +95,8 @@ def _sgn(v: mpf) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sign(params: QParams, z: mpf, ctx: PrecisionContext) -> int:
-    return _sgn(jnu3(params, z, ctx).value)
+def _sign(params: QParams, z: mpf, ctx: PrecisionContext, dps: int = 30):
+    return jnu3_sign(params, z, ctx, dps)   # (sign, dps that certified it)
 
 
 def dense_scan_brackets(params: QParams, z_lo: Numeric, z_hi: Numeric,
@@ -110,11 +113,12 @@ def dense_scan_brackets(params: QParams, z_lo: Numeric, z_hi: Numeric,
         hi = _as_mp(z_hi)
         r = _as_mp(ratio)
         z = lo
-        s = _sign(params, z, ctx)
+        s, sign_dps = _sign(params, z, ctx)
         while z < hi:
             z_next = min(z * r, hi)
-            s_next = _sign(params, z_next, ctx)
-            if s_next != s and s != 0:
+            s_next, sign_dps = _sign(params, z_next, ctx,
+                                     max(sign_dps - 10, 30))
+            if s_next != s:
                 brackets.append((z, z_next))
                 if max_brackets is not None and len(brackets) >= max_brackets:
                     return brackets
@@ -136,7 +140,7 @@ def _materialize_endpoint(params: QParams, point: Callable[[], mpf],
     for _ in range(12):
         with mp.workdps(dps):
             v = point()
-        if _sign(params, v, PrecisionContext(dps)) == s_target:
+        if _sign(params, v, PrecisionContext(dps))[0] == s_target:
             return v
         dps *= 2
     raise PrecisionError(
@@ -174,9 +178,9 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
                 return params.q_mp() ** (-k)
 
             if inside:
-                s_lo = _sign(params, lo_point, ctx)
-                s_hi = _sign(params, hi_point, ctx)
-                if s_lo != s_hi and s_lo != 0 and s_hi != 0:
+                s_lo = _sign(params, lo_point, ctx)[0]
+                s_hi = _sign(params, hi_point, ctx)[0]
+                if s_lo != s_hi:
                     lo_m = _materialize_endpoint(params, lo_point, s_lo, ctx)
                     hi_m = _materialize_endpoint(params, hi_point, s_hi, ctx)
                     return lo_m, hi_m
@@ -229,8 +233,8 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
         else:
             prev = (prev_zero if isinstance(prev_zero, mpf)
                     else _as_mp(prev_zero))
-    s_lo = _sign(params, lo, ctx)
-    s_hi = _sign(params, hi, ctx)
+    s_lo, sign_dps = _sign(params, lo, ctx)
+    s_hi, sign_dps = _sign(params, hi, ctx, max(sign_dps - 10, 30))
     if s_lo == s_hi:
         raise ValueError(f"bracket carries no sign change at k={k}")
 
@@ -252,10 +256,8 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
                 work_dps = needed
         if done:
             break
-        s_mid = _sign(params, mid, PrecisionContext(work_dps))
-        if s_mid == 0:
-            lo = hi = mid
-            break
+        s_mid, sign_dps = _sign(params, mid, PrecisionContext(work_dps),
+                                max(sign_dps - 10, 30))
         if s_mid == s_lo:
             lo = mid
         else:

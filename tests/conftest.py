@@ -24,7 +24,8 @@ def ctx40():
 
 @pytest.fixture(scope="session")
 def zero_tables(ctx120):
-    """Lazily computed, session-cached zero records keyed by (q, nu)."""
+    """Lazily computed, session-cached zero records keyed by (q, nu); a
+    longer table serves a shorter request with its first kmax records."""
     cache = {}
 
     def get(q, nu, kmax=12):
@@ -32,6 +33,6 @@ def zero_tables(ctx120):
         if key not in cache or len(cache[key]) < kmax:
             params = QParams(q, nu)
             cache[key] = {r.k: r for r in zero_table(params, kmax, ctx120)}
-        return cache[key]
+        return {k: r for k, r in cache[key].items() if k <= kmax}
 
     return get

@@ -1,13 +1,16 @@
 """tracked_sum: the exact accumulation against the mpf loop it replaced,
 its integer streams against its mpf streams, and the exact lost-digit
-count against the 30-digit log10 it replaced."""
+count against the 30-digit log10 it replaced; certified_sign's acceptance
+and escalation."""
+
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qfb.precision import (EXTRA_GUARD, PrecisionError, _lost_digits,
-                           tracked_sum)
+                           certified_sign, tracked_sum)
 
 LOW_EXP = -300
 
@@ -164,3 +167,36 @@ def test_non_finite_term_rejected(bad):
         terms = [mpf(1), mpf(bad), mpf(2)]
         with pytest.raises(ValueError, match="term 2 .* not finite"):
             tracked_sum(iter(terms), 30, 100, 0)
+
+
+def stream(ints, exp=0, passes=None):
+    """make_terms of a fixed integer stream followed by zeros, recording
+    each pass's working dps in ``passes``."""
+    def make_terms():
+        if passes is not None:
+            passes.append(mp.dps)
+        return chain(ints, repeat(0)), exp
+    return make_terms
+
+
+def test_certified_sign_accepts_a_clear_sign_at_its_first_pass():
+    passes = []
+    assert certified_sign(stream([-3, 1], -5, passes), 30, 100) == (-1, 30)
+    assert passes == [30 + EXTRA_GUARD]
+
+
+def test_certified_sign_escalates_past_the_lost_digits():
+    # 40 digits cancel in 10^40 - (10^40 - 1); with 5 terms summed the
+    # guard is log10(50) + 10, so 57 digits certify the sign
+    passes = []
+    got = certified_sign(stream([10 ** 40, 1 - 10 ** 40], 0, passes), 30,
+                         1000)
+    assert got == (1, 57)
+    assert passes == [30 + EXTRA_GUARD, 57 + EXTRA_GUARD]
+
+
+def test_certified_sign_of_an_exact_zero_raises_at_the_cap():
+    passes = []
+    with pytest.raises(PrecisionError, match="no certified sign"):
+        certified_sign(stream([1, -1], 0, passes), 30, 100)
+    assert passes == [d + EXTRA_GUARD for d in (30, 47, 71, 100)]

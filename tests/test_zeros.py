@@ -13,6 +13,8 @@ from qfb import (ModeCache, PrecisionContext, PrecisionError, QParams,
                  derivative_sign_pattern, empirical_k0, find_zero, jnu3,
                  verify_shifted_zero, verify_sign_constancy, zero_table,
                  zero_table_to_csv, zero_table_to_json)
+from qfb.qspecial import jnu3_sign
+from qfb.zeros import _sgn
 
 CTX = PrecisionContext(digits=60)
 P = QParams("0.5", "0")
@@ -92,7 +94,8 @@ class TestFindZero:
     def test_unrepresentable_endpoint_is_a_precision_error(self,
                                                            monkeypatch):
         # a sign that never matches the endpoint's side at any precision
-        monkeypatch.setattr(qfb.zeros, "_sign", lambda p, z, c: 1)
+        monkeypatch.setattr(qfb.zeros, "_sign",
+                            lambda p, z, c, dps=30: (1, dps))
         with pytest.raises(PrecisionError, match="bracket endpoint"):
             qfb.zeros._materialize_endpoint(P, lambda: mpf(1), -1, CTX)
 
@@ -101,9 +104,18 @@ class TestGoldenTables:
     # q=0.3 brackets every zero asymptotically; q=0.8 takes scan fallbacks
     @pytest.mark.parametrize("q,nu", [("0.3", "2.5"), ("0.8", "0")])
     def test_kmax12_matches_golden(self, zero_tables, q, nu):
-        want = json.loads((GOLDEN / f"zeros-q{q}-nu{nu}-k12-d120.json")
+        self.check(zero_tables, q, nu, 12)
+
+    def test_kmax16_matches_golden(self, zero_tables):
+        # past kmax 12 the bisection's working precision reaches 505
+        # digits, and the sign queries' warm start jumps furthest
+        self.check(zero_tables, "0.3", "2.5", 16)
+
+    @staticmethod
+    def check(zero_tables, q, nu, kmax):
+        want = json.loads((GOLDEN / f"zeros-q{q}-nu{nu}-k{kmax}-d120.json")
                           .read_text(encoding="utf-8"))
-        got = zero_tables(q, nu)
+        got = zero_tables(q, nu, kmax)
         assert sorted(got) == [w["k"] for w in want["zeros"]]
         # agreement to the refinement width of find_zero: relative
         # 10^(-digits/2), and that fraction of the gap q*j_k - j_(k-1)
@@ -141,8 +153,9 @@ class TestSmallGaps:
 class TestWorkCounts:
     def test_series_passes_and_sign_queries_of_a_small_table(self,
                                                              monkeypatch):
-        # the counts the benchmark self-test pins at kmax 12, here at kmax 4
-        # and 60 digits: two passes per evaluation, none repeated
+        # kmax 4 at 60 digits: one sign query per scan point and bisection
+        # step, and, from the warm start, most of them certified at their
+        # first pass
         calls = {"passes": 0, "signs": 0}
 
         def counted(name, fn):
@@ -153,10 +166,29 @@ class TestWorkCounts:
 
         monkeypatch.setattr(qfb.precision, "tracked_sum",
                             counted("passes", qfb.precision.tracked_sum))
-        monkeypatch.setattr(qfb.zeros, "jnu3",
-                            counted("signs", qfb.zeros.jnu3))
+        monkeypatch.setattr(qfb.zeros, "jnu3_sign",
+                            counted("signs", qfb.zeros.jnu3_sign))
         zero_table(QParams("0.5", "0"), 4, PrecisionContext(60))
-        assert calls == {"passes": 7408, "signs": 3704}
+        assert calls == {"passes": 3823, "signs": 3704}
+
+
+class TestSignKernel:
+    @pytest.mark.parametrize("m", [5, 30, 55, 100])
+    def test_kernel_sign_is_the_sign_of_the_value(self, zero_tables, m):
+        # either side of j_k, at relative distances down to 10^-100: the
+        # certified sign from a cold (30) or a hot (400) start against J
+        # itself at 240 digits
+        ctx = PrecisionContext(120)
+        records = zero_tables("0.5", "0")
+        for k in range(1, 5):
+            for side in (-1, 1):
+                with mp.workdps(260):
+                    z = records[k].j * (1 + side * mpf(10) ** -m)
+                want = _sgn(jnu3(P, z, PrecisionContext(240)).value)
+                assert want != 0
+                for start in (30, 400):
+                    assert jnu3_sign(P, z, ctx, start)[0] == want, \
+                        (k, side, start)
 
 
 class TestCensus:
