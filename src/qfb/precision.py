@@ -217,12 +217,12 @@ def adaptive_sum(make_terms: Callable[[], Iterable | tuple[Iterable, int]],
 
 
 def certified_sign(make_terms: Callable[[], tuple[Iterable, int]],
-                   dps: int, cap: int) -> tuple[int, int]:
-    """Sign of a series of (ints, exp) passes as for adaptive_sum, and the
-    dps of the pass that certified it: from ``dps`` on, a pass of n terms is
-    accepted once dps >= lost + log10(2 n^2) + EXTRA_GUARD, so that rounding
-    the argument or the steps cannot flip it.  An exact 0 loses all dps
-    digits; reaching ``cap`` uncertified raises PrecisionError."""
+                   dps: int, cap: int) -> tuple[int, int, mpf]:
+    """Sign of a series of (ints, exp) passes as for adaptive_sum, the dps
+    of the pass that certified it, and that pass's sum: from ``dps`` on, a
+    pass of n terms is accepted once dps >= lost + log10(2 n^2) + EXTRA_GUARD,
+    so that rounding the argument or the steps cannot flip it.  An exact 0
+    loses all dps digits; reaching ``cap`` uncertified raises PrecisionError."""
     while True:
         with mp.workdps(dps + EXTRA_GUARD):
             terms, exp = make_terms()
@@ -231,7 +231,7 @@ def certified_sign(make_terms: Callable[[], tuple[Iterable, int]],
         lost = dps if value == 0 else _lost_digits(max_mag, value)
         need = lost + math.log10(2 * n * n) + EXTRA_GUARD
         if dps >= need:
-            return (1 if value > 0 else -1), dps
+            return (1 if value > 0 else -1), dps, value
         if dps >= cap:
             raise PrecisionError(f"no certified sign within {cap} digits")
         dps = min(max(math.ceil(need) + 5,

@@ -335,9 +335,10 @@ def jnu3_derivative(params: QParams, z: Numeric, ctx: PrecisionContext,
 
 
 def jnu3_sign(params: QParams, z: Numeric, ctx: PrecisionContext,
-              dps: int) -> tuple[int, int]:
+              dps: int) -> tuple[int, int, mpf]:
     """certified_sign of J_nu(z; q^2), z > 0 (a callable z as for jnu3): the
-    prefactor and z^nu are positive, so only the bare series is summed."""
+    prefactor and z^nu are positive, so only the bare series is summed, and
+    its accepted sum is returned with the sign and the dps."""
     key = (params.q, None, params.nu)
     series = _SERIES.get(key)
     if series is None:

@@ -4,12 +4,13 @@ derivative sign patterns, sign constancy, and decay bounds.
 
 Zeros sit near q^(-k): j_k = q^(-k+eps_k) with 0 < eps_k < alpha_k from some
 empirically detected index k0 on.  The bracket (q^(-k+alpha_k), q^(-k)) is
-tried first; smaller k fall back to a dense geometric sign scan.  Refinement
-is bisection only: derivative-based steps near critical points are not
-reliable, but every sign is certified (qspecial.jnu3_sign sums the bare
-series, whose sign is J's for z > 0, until its precision exceeds the digits
-lost to cancellation by a guard).  A scan or a refinement starts each sign
-query 10 digits below the precision that certified its previous one.
+tried first; smaller k fall back to a dense geometric sign scan; either is
+assumed to hold one zero.  Every sign is certified (qspecial.jnu3_sign sums
+the bare series, whose sign is J's for z > 0, until its precision exceeds the
+digits lost to cancellation by a guard).  Bisection decides each j_k; secant
+steps first find a certified inner bracket, outside which a midpoint's sign
+needs no query.  A scan or a refinement starts each sign query 10 digits
+below the precision that certified its previous one.
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ def _sgn(v: mpf) -> int:
     return (v > 0) - (v < 0)
 
 
-def _sign(params: QParams, z: mpf, ctx: PrecisionContext, dps: int = 30):
-    return jnu3_sign(params, z, ctx, dps)   # (sign, dps that certified it)
-
-
 def dense_scan_brackets(params: QParams, z_lo: Numeric, z_hi: Numeric,
                         ctx: PrecisionContext,
                         ratio: mpf = SCAN_RATIO,
@@ -113,11 +110,11 @@ def dense_scan_brackets(params: QParams, z_lo: Numeric, z_hi: Numeric,
         hi = _as_mp(z_hi)
         r = _as_mp(ratio)
         z = lo
-        s, sign_dps = _sign(params, z, ctx)
+        s, sign_dps, _ = jnu3_sign(params, z, ctx, 30)
         while z < hi:
             z_next = min(z * r, hi)
-            s_next, sign_dps = _sign(params, z_next, ctx,
-                                     max(sign_dps - 10, 30))
+            s_next, sign_dps, _ = jnu3_sign(params, z_next, ctx,
+                                            max(sign_dps - 10, 30))
             if s_next != s:
                 brackets.append((z, z_next))
                 if max_brackets is not None and len(brackets) >= max_brackets:
@@ -140,7 +137,7 @@ def _materialize_endpoint(params: QParams, point: Callable[[], mpf],
     for _ in range(12):
         with mp.workdps(dps):
             v = point()
-        if _sign(params, v, PrecisionContext(dps))[0] == s_target:
+        if jnu3_sign(params, v, PrecisionContext(dps), 30)[0] == s_target:
             return v
         dps *= 2
     raise PrecisionError(
@@ -178,8 +175,8 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
                 return params.q_mp() ** (-k)
 
             if inside:
-                s_lo = _sign(params, lo_point, ctx)[0]
-                s_hi = _sign(params, hi_point, ctx)[0]
+                s_lo = jnu3_sign(params, lo_point, ctx, 30)[0]
+                s_hi = jnu3_sign(params, hi_point, ctx, 30)[0]
                 if s_lo != s_hi:
                     lo_m = _materialize_endpoint(params, lo_point, s_lo, ctx)
                     hi_m = _materialize_endpoint(params, hi_point, s_hi, ctx)
@@ -207,6 +204,57 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
             f"{mp.nstr(top, 8)}] for k={k}, q={params.q}, nu={params.nu}")
 
 
+def _inner_bracket(params: QParams, lo: mpf, hi: mpf, prev: mpf | None,
+                   ctx: PrecisionContext) -> tuple[mpf, mpf, int, int]:
+    """A certified inner bracket (a, b) of the one zero in (lo, hi): a has
+    lo's sign, b has hi's, and b - a <= tol = 10^-(digits/2 + 10) of
+    min(mid, (q b - prev)/q), a gap that is > 0 and exceeds the true one by
+    at most the width.  Anderson-Bjorck steps on jnu3_sign's bare sums, each
+    at least tol/2 inside, and a bisection step after 3 that move the same
+    end.  Returns (a, b, sign of lo, dps of the last certified sign).
+    """
+    s_lo, dps, f_a = jnu3_sign(params, lo, ctx, 30)
+    s_hi, dps, f_b = jnu3_sign(params, hi, ctx, max(dps - 10, 30))
+    if s_lo == s_hi:
+        raise ValueError("bracket carries no sign change")
+    a, b, work = lo, hi, ctx.digits + 40
+    with mp.workdps(work):
+        tol_rel = mpf(10) ** -(mpf(ctx.digits) / 2 + 10)
+    moved = streak = 0          # the end the last step moved (-1 a, 1 b)
+    for _ in range(6000):
+        with mp.workdps(work):
+            width, mid = b - a, (a + b) / 2
+            tol = tol_rel * mid
+            if prev is not None:
+                q = params.q_mp()
+                tol = min(tol, tol_rel * (q * b - prev) / q)
+            # a gap that reads <= 0 is rounding: raise the precision
+            need = (ctx.digits + 50 + int(-mp.mag(tol / mid) * 0.302)
+                    if tol > 0 else 2 * work)
+            if need > work:
+                if work >= ctx.dps_cap:
+                    break
+                work = min(need, ctx.dps_cap)
+                continue
+            if width <= tol:
+                return a, b, s_lo, dps
+            x = mid if streak >= 3 else min(
+                max(b - f_b * (b - a) / (f_b - f_a), a + tol / 2), b - tol / 2)
+            s, dps, f_x = jnu3_sign(params, x, PrecisionContext(work),
+                                    max(dps - 10, 30))
+            side = -1 if s == s_lo else 1
+            # an end kept a second time in a row has its value scaled
+            m = 1 - f_x / (f_a if side < 0 else f_b) if side == moved else 1
+            m = m if m > 0 else 0.5
+            if side < 0:
+                a, f_a, f_b = x, f_x, f_b * m
+            else:
+                b, f_b, f_a = x, f_x, f_a * m
+            streak = 0 if streak >= 3 else streak * (side == moved) + 1
+            moved = side
+    raise PrecisionError("inner bracket did not converge")
+
+
 def find_zero(params: QParams, k: int, ctx: PrecisionContext,
               prev_zero: mpf | None = None) -> ZeroRecord:
     """Bisect the k-th zero.
@@ -218,6 +266,10 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
     eps_(k-1) relative to j_k, so gap-relative accuracy is what downstream
     closed forms actually consume.  The working precision for the bracket
     arithmetic and the sign queries grows with the shrinking relative width.
+
+    A midpoint outside the inner bracket (a, b) of _inner_bracket takes the
+    sign of lo or hi without a query: with one zero in the bracket, that is
+    the sign the kernel would certify, so every step and j stay the same.
     """
     # the endpoints are kept verbatim: bracket_zero may have materialised
     # them at far more digits than work_dps, and rounding one would move it
@@ -233,10 +285,8 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
         else:
             prev = (prev_zero if isinstance(prev_zero, mpf)
                     else _as_mp(prev_zero))
-    s_lo, sign_dps = _sign(params, lo, ctx)
-    s_hi, sign_dps = _sign(params, hi, ctx, max(sign_dps - 10, 30))
-    if s_lo == s_hi:
-        raise ValueError(f"bracket carries no sign change at k={k}")
+    a, b, s_lo, sign_dps = _inner_bracket(params, lo, hi, prev, ctx)
+    q_dps = 0
 
     while True:
         with mp.workdps(work_dps):
@@ -246,7 +296,8 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
             if done and prev is not None:
                 # q at the current precision: the gap shrinks like
                 # eps_(k-1) j_k, below the rounding of a q fixed earlier
-                q = params.q_mp()
+                if q_dps != work_dps:
+                    q, q_dps = params.q_mp(), work_dps
                 gap = q * mid - prev
                 done = gap > 0 and width <= tol_rel * gap / q
             # keep ~digits/2 working digits beyond the bracket resolution
@@ -256,8 +307,12 @@ def find_zero(params: QParams, k: int, ctx: PrecisionContext,
                 work_dps = needed
         if done:
             break
-        s_mid, sign_dps = _sign(params, mid, PrecisionContext(work_dps),
-                                max(sign_dps - 10, 30))
+        if a < mid < b:
+            s_mid, sign_dps, _ = jnu3_sign(params, mid,
+                                           PrecisionContext(work_dps),
+                                           max(sign_dps - 10, 30))
+        else:
+            s_mid = s_lo if mid <= a else -s_lo
         if s_mid == s_lo:
             lo = mid
         else:

@@ -181,7 +181,8 @@ def stream(ints, exp=0, passes=None):
 
 def test_certified_sign_accepts_a_clear_sign_at_its_first_pass():
     passes = []
-    assert certified_sign(stream([-3, 1], -5, passes), 30, 100) == (-1, 30)
+    assert certified_sign(stream([-3, 1], -5, passes), 30, 100) == \
+        (-1, 30, mpf(-2) / 32)
     assert passes == [30 + EXTRA_GUARD]
 
 
@@ -191,7 +192,7 @@ def test_certified_sign_escalates_past_the_lost_digits():
     passes = []
     got = certified_sign(stream([10 ** 40, 1 - 10 ** 40], 0, passes), 30,
                          1000)
-    assert got == (1, 57)
+    assert got == (1, 57, 1)
     assert passes == [30 + EXTRA_GUARD, 57 + EXTRA_GUARD]
 
 

@@ -94,8 +94,8 @@ class TestFindZero:
     def test_unrepresentable_endpoint_is_a_precision_error(self,
                                                            monkeypatch):
         # a sign that never matches the endpoint's side at any precision
-        monkeypatch.setattr(qfb.zeros, "_sign",
-                            lambda p, z, c, dps=30: (1, dps))
+        monkeypatch.setattr(qfb.zeros, "jnu3_sign",
+                            lambda p, z, c, dps: (1, dps, mpf(1)))
         with pytest.raises(PrecisionError, match="bracket endpoint"):
             qfb.zeros._materialize_endpoint(P, lambda: mpf(1), -1, CTX)
 
@@ -110,6 +110,11 @@ class TestGoldenTables:
         # past kmax 12 the bisection's working precision reaches 505
         # digits, and the sign queries' warm start jumps furthest
         self.check(zero_tables, "0.3", "2.5", 16)
+
+    def test_kmax20_matches_golden(self, zero_tables):
+        # eps_20 ~ 1e-471: the largest working precision of any golden,
+        # where the inner bracket spares the most sign queries
+        self.check(zero_tables, "0.3", "2.5", 20)
 
     @staticmethod
     def check(zero_tables, q, nu, kmax):
@@ -153,9 +158,10 @@ class TestSmallGaps:
 class TestWorkCounts:
     def test_series_passes_and_sign_queries_of_a_small_table(self,
                                                              monkeypatch):
-        # kmax 4 at 60 digits: one sign query per scan point and bisection
-        # step, and, from the warm start, most of them certified at their
-        # first pass
+        # kmax 4 at 60 digits: one sign query per scan point, outer bracket
+        # end and secant step of the inner bracket (no bisection midpoint
+        # falls inside it), and, from the warm start, most of them
+        # certified at their first pass
         calls = {"passes": 0, "signs": 0}
 
         def counted(name, fn):
@@ -169,7 +175,41 @@ class TestWorkCounts:
         monkeypatch.setattr(qfb.zeros, "jnu3_sign",
                             counted("signs", qfb.zeros.jnu3_sign))
         zero_table(QParams("0.5", "0"), 4, PrecisionContext(60))
-        assert calls == {"passes": 3823, "signs": 3704}
+        assert calls == {"passes": 3342, "signs": 3330}
+
+
+class TestInnerBracket:
+    def test_the_inner_bracket_changes_only_the_cost(self, monkeypatch):
+        # with the outer bracket as the inner one, every bisection midpoint
+        # queries the kernel, and the records come out the same
+        params, ctx = QParams("0.5", "0"), PrecisionContext(60)
+        fast = zero_table(params, 4, ctx)
+        monkeypatch.setattr(
+            qfb.zeros, "_inner_bracket",
+            lambda p, lo, hi, prev, c: (lo, hi, jnu3_sign(p, lo, c, 30)[0],
+                                        30))
+        assert zero_table(params, 4, ctx) == fast
+
+    def test_flagship_inner_brackets(self, zero_tables, ctx120):
+        # certified signs of the outer ends, the width target, and the
+        # 240-digit j_k inside
+        records = zero_tables("0.5", "0")
+        exact = zero_table(P, 4, PrecisionContext(240))
+        prev = None
+        for k in range(1, 5):
+            rec = records[k]
+            lo, hi = rec.bracket_lo, rec.bracket_hi
+            a, b, s_lo, _ = qfb.zeros._inner_bracket(P, lo, hi, prev, ctx120)
+            assert s_lo == jnu3_sign(P, lo, ctx120, 30)[0]
+            assert jnu3_sign(P, a, ctx120, 30)[0] == s_lo
+            assert jnu3_sign(P, b, ctx120, 30)[0] == \
+                jnu3_sign(P, hi, ctx120, 30)[0] == -s_lo
+            with mp.workdps(400):
+                q, mid = P.q_mp(), (a + b) / 2
+                scale = mid if prev is None else min(mid, (q * b - prev) / q)
+                assert lo <= a < exact[k - 1].j < b <= hi, k
+                assert b - a <= mpf(10) ** -70 * scale, k
+            prev = rec.j
 
 
 class TestSignKernel:
