@@ -443,7 +443,8 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
     - theta_zero_rule, theta_inf_rule: m -> theta_m for the signs check,
       with m*theta_m -> 0 and -> infinity (None: 1/m^2 and 1/sqrt(m));
     - samples_per_interval: J' samples per interval for sign-constancy;
-    - gram_tol: the largest accepted |G - I| entry of the gram check;
+    - gram_tol: the largest accepted |G - I| entry of the gram check, a
+      positive finite number;
     - rl_functions: (name, f) integrands of the riemann-lebesgue check,
       each a callable on (0,1], a LatticeFunction over base q or a
       BasisFunction.
@@ -470,6 +471,11 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
             for rule in settings["signs"].values():
                 for m in range(2, kmax + 1):
                     _theta_value(rule, m)
+    if "gram" in ids:
+        tol = _as_mp(gram_tol)
+        if not (mp.isfinite(tol) and tol > 0):
+            raise ValueError("gram tolerance must be a positive finite "
+                             f"number, got {gram_tol}")
     cache = None
     if records is None and any(cid in _NEEDS_ZEROS for cid in ids):
         records = {r.k: r for r in zero_table(params, kmax, ctx)}

@@ -7,10 +7,10 @@ empirically detected index k0 on.  The bracket (q^(-k+alpha_k), q^(-k)) is
 tried first; smaller k fall back to a dense geometric sign scan; either is
 assumed to hold one zero.  Every sign is certified (qspecial.jnu3_sign sums
 the bare series, whose sign is J's for z > 0, until its precision exceeds the
-digits lost to cancellation by a guard).  Bisection decides each j_k; secant
-steps first find a certified inner bracket, outside which a midpoint's sign
-needs no query.  A scan or a refinement starts each sign query 10 digits
-below the precision that certified its previous one.
+digits lost to cancellation by a guard).  Each j_k is the zero bisection
+gives; secant steps narrow a certified bracket until it fits in the cell
+where bisection would stop.  A scan or a refinement starts each sign query
+10 digits below the precision that certified its previous one.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from .precision import PrecisionContext, PrecisionError
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_multi, \
@@ -204,30 +205,76 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
             f"{mp.nstr(top, 8)}] for k={k}, q={params.q}, nu={params.nu}")
 
 
-def _inner_bracket(params: QParams, lo: mpf, hi: mpf, prev: mpf | None,
-                   ctx: PrecisionContext) -> tuple[mpf, mpf, int, int]:
-    """A certified inner bracket (a, b) of the one zero in (lo, hi): a has
-    lo's sign, b has hi's, and b - a <= tol = 10^-(digits/2 + 10) of
-    min(mid, (q b - prev)/q), a gap that is > 0 and exceeds the true one by
-    at most the width.  Anderson-Bjorck steps on jnu3_sign's bare sums, each
-    at least tol/2 inside, and a bisection step after 3 that move the same
-    end.  Returns (a, b, sign of lo, dps of the last certified sign).
+def _bisection_cell(lo: mpf, hi: mpf, a: mpf, b: mpf, tol: mpf,
+                    done: Callable[[mpf, mpf], bool]) -> tuple:
+    """Bisection of (lo, hi) keeps the cells lo + [i, i+1] (hi - lo) 2^-n
+    that hold the zero and stops in the first whose (centre, width) pass
+    ``done``; tol, about the width done accepts, seeds the depth.  For the
+    zero in (a, b): that cell's exact (centre, width) if a and b share it,
+    else (None, the boundary inside (a, b) that bisection queries first).
     """
+    exps = [v.man_exp for v in (lo, hi, a, b)]
+    f = min(e for _, e in exps)
+    lo_i, hi_i, a_i, b_i = (m << (e - f) for m, e in exps)
+    d, a_i, b_i = hi_i - lo_i, a_i - lo_i, b_i - lo_i
+
+    def point(n: int, i: int) -> mpf:      # lo + i (hi - lo) 2^-(n+1)
+        return mp.make_mpf(from_man_exp((lo_i << (n + 1)) + i * d, f - n - 1))
+
+    def cell(n: int, i: int) -> tuple[mpf, mpf]:
+        return point(n, 2 * i + 1), mp.make_mpf(from_man_exp(d, f - n))
+
+    n = max(0, d.bit_length() + f - mp.mag(tol))
+    while not done(*cell(n, (a_i << n) // d)):
+        n += 1
+    while n and done(*cell(n - 1, (a_i << (n - 1)) // d)):
+        n -= 1
+    # a on a boundary lies in the upper cell, b in the lower
+    i_a, i_b = (a_i << n) // d, -(-(b_i << n) // d) - 1
+    if i_a == i_b:
+        return cell(n, i_a)
+    s = (i_a ^ i_b).bit_length() - 1
+    return None, point(n, 2 * ((i_b >> s) << s))
+
+
+def find_zero(params: QParams, k: int, ctx: PrecisionContext,
+              prev_zero: mpf | None = None) -> ZeroRecord:
+    """The k-th zero as bisection of bracket_zero's bracket gives it.
+
+    Bisection stops at relative width 10^(-digits/2) and, when the previous
+    zero is known, at that fraction of the gap q*j_k - j_(k-1), across which
+    values like J_nu(q j_k; q^2) are differences.  Anderson-Bjorck steps on
+    jnu3_sign's bare sums (each at least tol/2 inside, a bisection step
+    after 3 that move the same end) narrow a certified bracket (a, b) to
+    about that width; then the cell boundaries _bisection_cell names are
+    queried until a and b share bisection's last cell, whose centre is j.
+    """
+    # the ends are kept verbatim: bracket_zero may have materialised them at
+    # far more digits than work, and rounding one could cross the zero
+    lo, hi = a, b = bracket_zero(params, k, ctx, prev_zero)
     s_lo, dps, f_a = jnu3_sign(params, lo, ctx, 30)
     s_hi, dps, f_b = jnu3_sign(params, hi, ctx, max(dps - 10, 30))
     if s_lo == s_hi:
         raise ValueError("bracket carries no sign change")
-    a, b, work = lo, hi, ctx.digits + 40
+    work = ctx.digits + 40
     with mp.workdps(work):
-        tol_rel = mpf(10) ** -(mpf(ctx.digits) / 2 + 10)
+        tol_rel = mpf(10) ** (-mpf(ctx.digits) / 2)
+        prev = (prev_zero if prev_zero is None or isinstance(prev_zero, mpf)
+                else _as_mp(prev_zero))
+
+    def done(mid: mpf, width: mpf) -> bool:
+        # q at the working precision: the gap shrinks like eps_(k-1) j_k,
+        # below the rounding of a q fixed earlier
+        gap = mid if prev is None else (q * mid - prev) / q
+        return gap > 0 and width <= tol_rel * min(mid, gap)
+
+    j = None
     moved = streak = 0          # the end the last step moved (-1 a, 1 b)
     for _ in range(6000):
         with mp.workdps(work):
-            width, mid = b - a, (a + b) / 2
-            tol = tol_rel * mid
-            if prev is not None:
-                q = params.q_mp()
-                tol = min(tol, tol_rel * (q * b - prev) / q)
+            width, mid, q = b - a, (a + b) / 2, params.q_mp()
+            tol = tol_rel * (mid if prev is None
+                             else min(mid, (q * b - prev) / q))
             # a gap that reads <= 0 is rounding: raise the precision
             need = (ctx.digits + 50 + int(-mp.mag(tol / mid) * 0.302)
                     if tol > 0 else 2 * work)
@@ -236,103 +283,39 @@ def _inner_bracket(params: QParams, lo: mpf, hi: mpf, prev: mpf | None,
                     break
                 work = min(need, ctx.dps_cap)
                 continue
-            if width <= tol:
-                return a, b, s_lo, dps
-            x = mid if streak >= 3 else min(
-                max(b - f_b * (b - a) / (f_b - f_a), a + tol / 2), b - tol / 2)
-            s, dps, f_x = jnu3_sign(params, x, PrecisionContext(work),
-                                    max(dps - 10, 30))
-            side = -1 if s == s_lo else 1
-            # an end kept a second time in a row has its value scaled
-            m = 1 - f_x / (f_a if side < 0 else f_b) if side == moved else 1
-            m = m if m > 0 else 0.5
-            if side < 0:
-                a, f_a, f_b = x, f_x, f_b * m
+            if width > tol:
+                x = mid if streak >= 3 else min(max(
+                    b - f_b * (b - a) / (f_b - f_a), a + tol / 2), b - tol / 2)
             else:
-                b, f_b, f_a = x, f_x, f_a * m
-            streak = 0 if streak >= 3 else streak * (side == moved) + 1
-            moved = side
-    raise PrecisionError("inner bracket did not converge")
-
-
-def find_zero(params: QParams, k: int, ctx: PrecisionContext,
-              prev_zero: mpf | None = None) -> ZeroRecord:
-    """Bisect the k-th zero.
-
-    The bracket is first narrowed to relative width 10^(-digits/2).  When
-    the previous zero is known, refinement continues until the width is
-    10^(-digits/2) of the gap q*j_k - j_(k-1): quantities like
-    J_nu(q j_k; q^2) are differences across that gap, which shrinks like
-    eps_(k-1) relative to j_k, so gap-relative accuracy is what downstream
-    closed forms actually consume.  The working precision for the bracket
-    arithmetic and the sign queries grows with the shrinking relative width.
-
-    A midpoint outside the inner bracket (a, b) of _inner_bracket takes the
-    sign of lo or hi without a query: with one zero in the bracket, that is
-    the sign the kernel would certify, so every step and j stay the same.
-    """
-    # the endpoints are kept verbatim: bracket_zero may have materialised
-    # them at far more digits than work_dps, and rounding one would move it
-    # across the zero it brackets.
-    lo, hi = bracket_lo, bracket_hi = bracket_zero(params, k, ctx, prev_zero)
-    work_dps = ctx.digits + 40
-    max_iters = 6000
-    iters = 0
-    with mp.workdps(work_dps):
-        tol_rel = mpf(10) ** (-mpf(ctx.digits) / 2)
-        if prev_zero is None:
-            prev = None
+                j, x = _bisection_cell(lo, hi, a, b, tol, done)
+                if j is not None:   # x is the cell's width
+                    arg_dps = ctx.digits + 40 + max(
+                        0, int(-mp.mag(x / j) * 0.302) + 10)
+                    break
+        s, dps, f_x = jnu3_sign(params, x, PrecisionContext(work),
+                                max(dps - 10, 30))
+        side = -1 if s == s_lo else 1
+        # an end kept a second time in a row has its value scaled
+        m = 1 - f_x / (f_a if side < 0 else f_b) if side == moved else 1
+        m = m if m > 0 else 0.5
+        if side < 0:
+            a, f_a, f_b = x, f_x, f_b * m
         else:
-            prev = (prev_zero if isinstance(prev_zero, mpf)
-                    else _as_mp(prev_zero))
-    a, b, s_lo, sign_dps = _inner_bracket(params, lo, hi, prev, ctx)
-    q_dps = 0
-
-    while True:
-        with mp.workdps(work_dps):
-            width = hi - lo
-            mid = (lo + hi) / 2
-            done = width <= tol_rel * mid
-            if done and prev is not None:
-                # q at the current precision: the gap shrinks like
-                # eps_(k-1) j_k, below the rounding of a q fixed earlier
-                if q_dps != work_dps:
-                    q, q_dps = params.q_mp(), work_dps
-                gap = q * mid - prev
-                done = gap > 0 and width <= tol_rel * gap / q
-            # keep ~digits/2 working digits beyond the bracket resolution
-            rel_exp = mp.mag(width / mid)          # binary exponent
-            needed = ctx.digits + 40 + max(0, int(-rel_exp * 0.302) + 10)
-            if needed > work_dps:
-                work_dps = needed
-        if done:
-            break
-        if a < mid < b:
-            s_mid, sign_dps, _ = jnu3_sign(params, mid,
-                                           PrecisionContext(work_dps),
-                                           max(sign_dps - 10, 30))
-        else:
-            s_mid = s_lo if mid <= a else -s_lo
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-        if iters > max_iters:
-            raise PrecisionError(f"bisection did not converge at k={k}")
-
-    with mp.workdps(work_dps):
-        j = (lo + hi) / 2
+            b, f_b, f_a = x, f_x, f_a * m
+        streak = 0 if streak >= 3 else streak * (side == moved) + 1
+        moved = side
+    if j is None:
+        raise PrecisionError(f"refinement did not converge at k={k}")
+    with mp.workdps(arg_dps):
         # q re-derived at the final working precision: eps_k can be smaller
         # than the *initial* working precision's representation of log q.
         eps = k + mp.log(j) / mp.log(params.q_mp())
-        a = alpha_k(params, k, ctx)
+        alpha = alpha_k(params, k, ctx)
         # the asymptotic localisation claim, checked on the refined zero
-        asymptotic_ok = a is not None and bool(0 < eps < a)
-    return ZeroRecord(k=k, bracket_lo=bracket_lo, bracket_hi=bracket_hi,
-                      j=j, epsilon_k=eps, alpha_k=a,
-                      refined_to=ctx.digits, asymptotic_bracket_ok=asymptotic_ok,
-                      arg_dps=work_dps)
+        asymptotic_ok = alpha is not None and bool(0 < eps < alpha)
+    return ZeroRecord(k=k, bracket_lo=lo, bracket_hi=hi, j=j, epsilon_k=eps,
+                      alpha_k=alpha, refined_to=ctx.digits,
+                      asymptotic_bracket_ok=asymptotic_ok, arg_dps=arg_dps)
 
 
 def zero_table(params: QParams, k_max: int,

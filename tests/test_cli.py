@@ -197,6 +197,8 @@ class TestVerify:
     @pytest.mark.parametrize("option,value,message", [
         ("--samples", "0", "need at least one sample per interval"),
         ("--theta-zero-rule", "2", "theta_m must lie in [0,1)"),
+        ("--tol", "nan", "gram tolerance must be a positive finite number"),
+        ("--tol", "-1", "gram tolerance must be a positive finite number"),
     ])
     def test_bad_check_setting_exits_2(self, option, value, message, capsys):
         code, _, err = run(["verify", "--q", "0.5", "--nu", "0",

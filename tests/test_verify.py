@@ -29,6 +29,8 @@ def test_kmax_below_two_rejected_before_any_work(kmax, monkeypatch):
      "need at least one sample per interval"),
     ("signs", {"theta_zero_rule": lambda m: 2}, r"theta_m must lie in \[0,1\)"),
     ("signs", {"theta_inf_rule": lambda m: m / 4}, "got 1.0 at m=4"),
+    ("gram", {"gram_tol": "inf"}, "gram tolerance must be a positive finite"),
+    ("gram", {"gram_tol": 0}, "got 0"),
 ])
 def test_bad_check_setting_rejected_before_any_work(check, setting, message,
                                                     monkeypatch):

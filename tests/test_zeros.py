@@ -14,7 +14,7 @@ from qfb import (ModeCache, PrecisionContext, PrecisionError, QParams,
                  verify_shifted_zero, verify_sign_constancy, zero_table,
                  zero_table_to_csv, zero_table_to_json)
 from qfb.qspecial import jnu3_sign
-from qfb.zeros import _sgn
+from qfb.zeros import _bisection_cell, _sgn
 
 CTX = PrecisionContext(digits=60)
 P = QParams("0.5", "0")
@@ -40,6 +40,26 @@ def independent_bisection(params, lo, hi, rel_tol):
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+# exact midpoints for the brackets and depths of plain_bisection's tables
+EXACT_DPS = 1500
+
+
+def plain_bisection(params, rec, prev, zero, digits):
+    """Bisection of rec's bracket with exact midpoints, each side read from
+    the reference ``zero``, to find_zero's width rule: relative width
+    10^(-digits/2), and that fraction of the gap q*mid - prev.  Returns the
+    last cell's (centre, width)."""
+    with mp.workdps(EXACT_DPS):
+        q, tol = params.q_mp(), mpf(10) ** (-mpf(digits) / 2)
+        lo, hi = rec.bracket_lo, rec.bracket_hi
+        while True:
+            mid, width = (lo + hi) / 2, hi - lo
+            gap = mid if prev is None else (q * mid - prev) / q
+            if gap > 0 and width <= tol * min(mid, gap):
+                return mid, width
+            lo, hi = (mid, hi) if mid < zero else (lo, mid)
 
 
 class TestAlpha:
@@ -112,8 +132,7 @@ class TestGoldenTables:
         self.check(zero_tables, "0.3", "2.5", 16)
 
     def test_kmax20_matches_golden(self, zero_tables):
-        # eps_20 ~ 1e-471: the largest working precision of any golden,
-        # where the inner bracket spares the most sign queries
+        # eps_20 ~ 1e-471: the largest working precision of any golden
         self.check(zero_tables, "0.3", "2.5", 20)
 
     @staticmethod
@@ -158,10 +177,9 @@ class TestSmallGaps:
 class TestWorkCounts:
     def test_series_passes_and_sign_queries_of_a_small_table(self,
                                                              monkeypatch):
-        # kmax 4 at 60 digits: one sign query per scan point, outer bracket
-        # end and secant step of the inner bracket (no bisection midpoint
-        # falls inside it), and, from the warm start, most of them
-        # certified at their first pass
+        # kmax 4 at 60 digits: one sign query per scan point, bracket end,
+        # secant step and cell boundary, and, from the warm start, most of
+        # them certified at their first pass
         calls = {"passes": 0, "signs": 0}
 
         def counted(name, fn):
@@ -175,41 +193,43 @@ class TestWorkCounts:
         monkeypatch.setattr(qfb.zeros, "jnu3_sign",
                             counted("signs", qfb.zeros.jnu3_sign))
         zero_table(QParams("0.5", "0"), 4, PrecisionContext(60))
-        assert calls == {"passes": 3342, "signs": 3330}
+        assert calls == {"passes": 3343, "signs": 3331}
 
 
-class TestInnerBracket:
-    def test_the_inner_bracket_changes_only_the_cost(self, monkeypatch):
-        # with the outer bracket as the inner one, every bisection midpoint
-        # queries the kernel, and the records come out the same
-        params, ctx = QParams("0.5", "0"), PrecisionContext(60)
-        fast = zero_table(params, 4, ctx)
-        monkeypatch.setattr(
-            qfb.zeros, "_inner_bracket",
-            lambda p, lo, hi, prev, c: (lo, hi, jnu3_sign(p, lo, c, 30)[0],
-                                        30))
-        assert zero_table(params, 4, ctx) == fast
-
-    def test_flagship_inner_brackets(self, zero_tables, ctx120):
-        # certified signs of the outer ends, the width target, and the
-        # 240-digit j_k inside
-        records = zero_tables("0.5", "0")
-        exact = zero_table(P, 4, PrecisionContext(240))
+class TestBisectionCell:
+    # the secant steps change only the cost: every j is the centre of the
+    # cell a plain bisection of the bracket stops in, which holds the zero
+    @pytest.mark.parametrize("digits", [60, 61, 120])   # 61: 10^-30.5
+    def test_zeros_match_a_plain_bisection(self, digits):
+        records = zero_table(P, 4, PrecisionContext(digits))
+        exact = zero_table(P, 4, PrecisionContext(2 * digits))
         prev = None
-        for k in range(1, 5):
-            rec = records[k]
-            lo, hi = rec.bracket_lo, rec.bracket_hi
-            a, b, s_lo, _ = qfb.zeros._inner_bracket(P, lo, hi, prev, ctx120)
-            assert s_lo == jnu3_sign(P, lo, ctx120, 30)[0]
-            assert jnu3_sign(P, a, ctx120, 30)[0] == s_lo
-            assert jnu3_sign(P, b, ctx120, 30)[0] == \
-                jnu3_sign(P, hi, ctx120, 30)[0] == -s_lo
-            with mp.workdps(400):
-                q, mid = P.q_mp(), (a + b) / 2
-                scale = mid if prev is None else min(mid, (q * b - prev) / q)
-                assert lo <= a < exact[k - 1].j < b <= hi, k
-                assert b - a <= mpf(10) ** -70 * scale, k
+        for rec, ref in zip(records, exact):
+            centre, width = plain_bisection(P, rec, prev, ref.j, digits)
+            with mp.workdps(EXACT_DPS):
+                assert abs(rec.j - centre) <= \
+                    mpf(10) ** -rec.arg_dps * rec.j, rec.k
+                assert abs(ref.j - rec.j) < width / 2, rec.k
             prev = rec.j
+
+    @pytest.mark.parametrize("tol", [mpf(1), mpf(2) ** -20])
+    def test_cell_depth_and_boundaries(self, tol):
+        # cells of (1, 2) pass at width 2^-10, whether the depth estimate
+        # from tol starts too shallow or too deep
+        def done(mid, width):
+            return width <= mpf(2) ** -10
+
+        def cell(a, b):
+            return _bisection_cell(mpf(1), mpf(2), 1 + mpf(a) / 1024,
+                                   1 + mpf(b) / 1024, tol, done)
+
+        # a on a boundary lies in the upper cell, b in the lower
+        assert cell(3, 4) == (1 + mpf(7) / 2048, mpf(2) ** -10)
+        assert cell("3.5", "3.75") == cell(3, 4)
+        # apart, the boundary bisection queries first
+        assert cell("3.5", "5.5") == (None, 1 + mpf(4) / 1024)
+        assert cell("2.5", "3.5") == (None, 1 + mpf(3) / 1024)
+        assert cell("2.5", 4) == (None, 1 + mpf(3) / 1024)
 
 
 class TestSignKernel:
