@@ -106,7 +106,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def _check_kmax(kmax: int, allow_large: bool) -> None:
+def _check_kmax(kmax: int, allow_large: bool, option: str = "kmax") -> None:
+    if kmax < 0:
+        raise ValueError(f"{option} must be >= 0, got {kmax}")
     if kmax > HARD_KMAX and not allow_large:
         raise ValueError(
             f"kmax={kmax} exceeds the cap {HARD_KMAX}; the cost grows like "
@@ -239,9 +241,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.K < 0:
-        raise ValueError(f"K must be >= 0, got {args.K}")
-    _check_kmax(args.K, args.allow_large_k)
+    _check_kmax(args.K, args.allow_large_k, "K")
     params = QParams(args.q, args.nu)
     ctx = PrecisionContext(digits=args.digits)
     f = _resolve_f(args.f, args.K)

@@ -2,11 +2,12 @@
 
 Every alternating q-series in this package has terms that first grow like
 q^(-m^2)-ish powers before decaying super-geometrically, so the final value
-can be many orders of magnitude below the largest partial sum.  The policy
-here is: sum once at the requested precision while tracking the largest
-partial-sum magnitude, measure how many digits were lost to cancellation,
-and re-run with that many extra digits until the surviving accuracy meets
-the request, or for certified_sign until no rounding can flip the sign.
+can be many orders of magnitude below the largest partial sum.  One
+escalation loop serves values (adaptive_sum) and signs (certified_sign):
+sum a pass while tracking the largest partial-sum magnitude, count the
+digits lost to cancellation, and rerun with that many extra digits until
+the surviving accuracy meets the request, or until no rounding can flip
+the sign.  Reaching dps_cap without that raises PrecisionError.
 """
 
 from __future__ import annotations
@@ -183,6 +184,30 @@ def _lost_digits(max_mag: mpf, value: mpf) -> int:
         c += 1
 
 
+def _escalate(make_terms: Callable, dps: int, cap: int,
+              need: Callable[[int, int], float], min_terms: int,
+              what: str) -> tuple[mpf, mpf, int, int]:
+    """The one escalation loop of adaptive_sum and certified_sign: a pass of
+    n terms at ``dps`` that lost ``lost`` digits (an exact 0 loses all dps)
+    is accepted once dps >= need(lost, n), else rerun at
+    min(max(ceil(need) + 5, ceil(1.5 dps)), cap).  Returns (value,
+    max_magnitude, terms_used, dps); raises PrecisionError at ``cap``."""
+    while True:
+        with mp.workdps(dps + EXTRA_GUARD):
+            made = make_terms()
+            terms, exp = made if isinstance(made, tuple) else (made, None)
+            value, max_mag, n = tracked_sum(
+                terms, dps, MAX_TERMS, min_terms=min_terms, exp=exp)
+        lost = dps if value == 0 else _lost_digits(max_mag, value)
+        want = need(lost, n)
+        if dps >= want:
+            return value, max_mag, n, dps
+        if dps >= cap:
+            raise PrecisionError(f"no certified {what} within {cap} digits")
+        dps = min(max(math.ceil(want) + 5,
+                      math.ceil(dps * ESCALATION_FACTOR)), cap)
+
+
 def adaptive_sum(make_terms: Callable[[], Iterable | tuple[Iterable, int]],
                  ctx: PrecisionContext, *, min_terms: int = 4) -> EvalResult:
     """Evaluate a series with automatic precision escalation.
@@ -190,30 +215,14 @@ def adaptive_sum(make_terms: Callable[[], Iterable | tuple[Iterable, int]],
     ``make_terms`` is called inside each mp.workdps block and returns the
     series terms computed at the ambient precision: an iterable of mpfs, or
     a pair (ints, exp) of Python ints at the one scale 2^exp (tracked_sum).
-    The run is accepted once the working precision reaches the requested
-    digits plus the digits lost to cancellation (largest partial over final
-    value, _lost_digits) plus 5.
+    A pass is accepted once its dps reaches the requested digits plus the
+    digits lost to cancellation (_lost_digits) plus 5; the first runs at
+    digits + EXTRA_GUARD, the least dps that accepts 5 lost digits.
     """
-    dps = ctx.digits
-    while True:
-        with mp.workdps(dps + EXTRA_GUARD):
-            made = make_terms()
-            terms, exp = made if isinstance(made, tuple) else (made, None)
-            value, max_mag, n = tracked_sum(
-                terms, dps, MAX_TERMS, min_terms=min_terms, exp=exp)
-        if max_mag == 0:
-            return EvalResult(value, max_mag, n, dps)
-        lost = None if value == 0 else _lost_digits(max_mag, value)
-        if lost is not None and dps >= ctx.digits + lost + 5:
-            return EvalResult(value, max_mag, n, dps)
-        if dps >= ctx.dps_cap:
-            # Value is genuinely zero to every precision we allow; report
-            # it with the accounting intact rather than looping forever.
-            return EvalResult(value, max_mag, n, dps)
-        next_dps = math.ceil(dps * ESCALATION_FACTOR)
-        if lost is not None:
-            next_dps = max(ctx.digits + lost + EXTRA_GUARD, next_dps)
-        dps = min(next_dps, ctx.dps_cap)
+    d = ctx.digits
+    return EvalResult(*_escalate(make_terms, d + EXTRA_GUARD, ctx.dps_cap,
+                                 lambda lost, n: d + lost + 5, min_terms,
+                                 f"value to {d} digits"))
 
 
 def certified_sign(make_terms: Callable[[], tuple[Iterable, int]],
@@ -221,18 +230,8 @@ def certified_sign(make_terms: Callable[[], tuple[Iterable, int]],
     """Sign of a series of (ints, exp) passes as for adaptive_sum, the dps
     of the pass that certified it, and that pass's sum: from ``dps`` on, a
     pass of n terms is accepted once dps >= lost + log10(2 n^2) + EXTRA_GUARD,
-    so that rounding the argument or the steps cannot flip it.  An exact 0
-    loses all dps digits; reaching ``cap`` uncertified raises PrecisionError."""
-    while True:
-        with mp.workdps(dps + EXTRA_GUARD):
-            terms, exp = make_terms()
-            value, max_mag, n = tracked_sum(terms, dps, MAX_TERMS,
-                                            min_terms=2, exp=exp)
-        lost = dps if value == 0 else _lost_digits(max_mag, value)
-        need = lost + math.log10(2 * n * n) + EXTRA_GUARD
-        if dps >= need:
-            return (1 if value > 0 else -1), dps, value
-        if dps >= cap:
-            raise PrecisionError(f"no certified sign within {cap} digits")
-        dps = min(max(math.ceil(need) + 5,
-                      math.ceil(dps * ESCALATION_FACTOR)), cap)
+    so that rounding the argument or the steps cannot flip it."""
+    value, _, _, dps = _escalate(
+        make_terms, dps, cap,
+        lambda lost, n: lost + math.log10(2 * n * n) + EXTRA_GUARD, 2, "sign")
+    return (1 if value > 0 else -1), dps, value

@@ -190,7 +190,7 @@ class _Series:
         bits = _round_up(math.ceil(target * _LOG2_10))
         digits = max(target, int(bits / _LOG2_10))
         with mp.workdps(30):
-            log_p = math.log10(self.p())
+            log_p = float(mp.log10(self.p()))
             power = min(1.0, float(_as_mp(self.nu)) + 1)
         # factors of the longer product, (a;p)_inf with a = p^min(1, nu+1)
         if (digits + power * log_p) / -log_p >= MAX_TERMS:

@@ -86,6 +86,21 @@ class TestEval:
         assert err.startswith("qfb eval: error: z must be finite")
         assert err.count("\n") == 1
 
+    def test_value_uncertified_at_the_cap_exits_2(self, capsys):
+        # z = 2^90 = q^(-90): the series cancels past dps_cap = 2030
+        code, out, err = run(["eval", "--q", "0.5", "--nu", "0", "--z",
+                              str(2 ** 90), "--digits", "30"], capsys)
+        assert code == 2 and out == ""
+        assert err == ("qfb eval: error: no certified value to 30 digits "
+                       "within 2030 digits\n")
+
+    def test_base_below_float_range(self, capsys):
+        code, out, _ = run(["eval", "--q", "1e-200", "--nu", "0.5", "--z",
+                            "3", "--digits", "30"], capsys)
+        assert code == 0
+        assert out.split("\r\n")[1].startswith(
+            "3,1.73205080756887729352744634151,")
+
 
 class TestZeros:
     def test_kmax_zero_empty_table_exit_zero(self, capsys):
@@ -93,6 +108,12 @@ class TestZeros:
                             "--kmax", "0", "--digits", "40"], capsys)
         assert code == 0
         assert out.split("\r\n")[0] == "k,j,epsilon_k,alpha_k,digits"
+
+    def test_negative_kmax_exits_2(self, capsys):
+        code, out, err = run(["zeros", "--q", "0.5", "--nu", "0",
+                              "--kmax", "-2", "--digits", "40"], capsys)
+        assert code == 2 and out == ""
+        assert err == "qfb zeros: error: kmax must be >= 0, got -2\n"
 
     def test_kmax_cap_enforced(self, capsys):
         code, _, err = run(["zeros", "--q", "0.5", "--nu", "0",

@@ -1,7 +1,7 @@
 """tracked_sum: the exact accumulation against the mpf loop it replaced,
 its integer streams against its mpf streams, and the exact lost-digit
-count against the 30-digit log10 it replaced; certified_sign's acceptance
-and escalation."""
+count against the 30-digit log10 it replaced; the acceptance and escalation
+of the one loop behind certified_sign and adaptive_sum."""
 
 from itertools import chain, repeat
 
@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qfb.precision import (EXTRA_GUARD, PrecisionError, _lost_digits,
-                           certified_sign, tracked_sum)
+from qfb.precision import (EXTRA_GUARD, PrecisionContext, PrecisionError,
+                           _lost_digits, adaptive_sum, certified_sign,
+                           tracked_sum)
 
 LOW_EXP = -300
 
@@ -201,3 +202,35 @@ def test_certified_sign_of_an_exact_zero_raises_at_the_cap():
     with pytest.raises(PrecisionError, match="no certified sign"):
         certified_sign(stream([1, -1], 0, passes), 30, 100)
     assert passes == [d + EXTRA_GUARD for d in (30, 47, 71, 100)]
+
+
+def test_adaptive_sum_accepts_5_lost_digits_at_its_first_pass():
+    # 10^5 - (10^5 - 1) loses exactly 5 digits; zeros end the stream after
+    # the 4 terms min_terms asks for and 2 more
+    passes = []
+    got = adaptive_sum(stream([10 ** 5, 1 - 10 ** 5], 0, passes),
+                       PrecisionContext(30))
+    assert (got.value, got.max_partial_magnitude, got.terms_used,
+            got.precision_used) == (1, 10 ** 5, 6, 30 + EXTRA_GUARD)
+    assert passes == [30 + 2 * EXTRA_GUARD]
+
+
+def test_adaptive_sum_escalates_once_past_the_lost_digits():
+    # 40 lost digits: the first pass (40 dps) needs 30 + 40 + 5, so the
+    # second runs at 30 + 40 + 10 and is accepted
+    passes = []
+    got = adaptive_sum(stream([10 ** 40, 1 - 10 ** 40], 0, passes),
+                       PrecisionContext(30))
+    assert (got.value, got.precision_used) == (1, 80)
+    assert passes == [40 + EXTRA_GUARD, 80 + EXTRA_GUARD]
+
+
+def test_adaptive_sum_of_an_exact_zero_raises_at_the_cap():
+    passes = []
+    ctx = PrecisionContext(30)
+    with pytest.raises(PrecisionError,
+                       match="no certified value to 30 digits within 2030"):
+        adaptive_sum(stream([1, -1], 0, passes), ctx)
+    assert passes == [d + EXTRA_GUARD for d in
+                      (40, 80, 120, 180, 270, 405, 608, 912, 1368,
+                       ctx.dps_cap)]

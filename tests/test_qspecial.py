@@ -17,8 +17,9 @@ CTX = PrecisionContext(digits=60)
 
 
 def first_pass_bucket(digits: int) -> int:
-    """Precision of the ratio table read by an evaluation's first pass."""
-    prec = dps_to_prec(digits + EXTRA_GUARD)
+    """Precision of the ratio table read by an evaluation's first pass,
+    which sums at digits + EXTRA_GUARD under EXTRA_GUARD more guard digits."""
+    prec = dps_to_prec(digits + 2 * EXTRA_GUARD)
     return -(-(prec + 16) // 64) * 64
 
 
@@ -101,11 +102,11 @@ class TestSeriesOracle:
             want = mpf(exact.numerator) / exact.denominator
             assert abs(series_got - want) <= abs(want) * mpf(10) ** -55
 
-    @pytest.mark.parametrize("digits", [42, 43])
+    @pytest.mark.parametrize("digits", [32, 33])
     def test_bucket_boundary_matches_exact_rational_series(self, digits):
-        # 42 and 43 digits start in different ratio-table buckets; z = 7/2
-        # sits near q^(-2) = 4, so both escalate through further buckets
-        assert first_pass_bucket(42) < first_pass_bucket(43)
+        # 32 and 33 digits start in different ratio-table buckets; at
+        # z = 7/2, near q^(-2) = 4, each is accepted at its first pass
+        assert first_pass_bucket(32) < first_pass_bucket(33)
         q, nu, z = Fraction(1, 2), 1, Fraction(7, 2)
         p = q * q
         ctx = PrecisionContext(digits=digits)
@@ -211,6 +212,13 @@ class TestSpecialValuesAndValidation:
             pref = (qpochhammer_infinite(q2, q2, CTX)
                     / qpochhammer_infinite(q2, q2, CTX))
             assert abs(v - pref) <= abs(pref) * mpf(10) ** -50
+
+    def test_base_below_float_range(self):
+        # p = q^2 = 1e-400 is 0 as a float; J_nu(z) is z^nu to far more
+        # than the requested digits
+        got = jnu3(QParams("1e-200", "0.5"), 3, PrecisionContext(30)).value
+        with mp.workdps(40):
+            assert abs(got - mp.sqrt(3)) <= mpf(10) ** -30
 
     def test_negative_z_requires_integer_nu(self):
         with pytest.raises(ValueError):
@@ -401,15 +409,15 @@ class TestPrefactorMemo:
         assert got == direct_prefactor("0.999", "0.5", ctx)
 
     def test_eviction_keeps_bound_and_values(self, monkeypatch):
-        # at 40 digits one evaluation fills two buckets of 32 ratios each,
-        # so a bound of 128 ratios holds two records
+        # at 40 digits one evaluation makes one pass, which fills one
+        # bucket of 32 ratios, so a bound of 64 ratios holds two records
         monkeypatch.setattr(qspecial, "_SERIES", {})
-        monkeypatch.setattr(qspecial, "RATIO_CACHE_TERMS", 128)
+        monkeypatch.setattr(qspecial, "RATIO_CACHE_TERMS", 64)
         ctx = PrecisionContext(40)
 
         def prefactor(nu):
             jnu3(QParams("0.5", nu), "1", ctx)
-            assert ratio_cache_total() <= 128
+            assert ratio_cache_total() <= 64
             return qspecial._SERIES[("0.5", None, nu)].pref[1]
 
         first = [prefactor(nu) for nu in ("0.5", "1", "1.5")]
