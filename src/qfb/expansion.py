@@ -7,14 +7,16 @@ weighted norm eta_k admits two closed forms in terms of J_(nu+1), J_nu and
 J'_nu at the zero, which are cross-checked against the direct lattice
 integral.  Coefficient integrals against mode m involve J_nu at arguments up
 to ~ q^(1-m), so every point evaluation runs under the adaptive cancellation
-policy.
+policy.  A mode's lattice values form one column, stepped along the lattice
+by qspecial.jnu3_lattice, and an integrand is read once per lattice point
+for all the sums of one call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from mpmath import mp, mpf
 
@@ -22,7 +24,7 @@ from .precision import PrecisionContext, PrecisionError
 from .qcore import (BaseMismatchError, LatticeFunction, Numeric, QParams,
                     _as_mp, lattice_sum, same_base)
 from .zeros import ZeroRecord
-from .qspecial import jnu3, jnu3_derivative
+from .qspecial import jnu3, jnu3_derivative, jnu3_lattice
 
 ETA_METHODS = ("integral", "closed_form_nu_plus_1", "closed_form_nu")
 LATTICE_SAMPLES = 12
@@ -48,10 +50,11 @@ class ModeCache:
     evaluated: basis-function values J_nu(q j_k q^j; q^2), J'_nu(j_k; q^2),
     J_(nu+1)(q j_k; q^2) and the closed-form eta_k.
 
-    Values are computed once per key at the context's precision; the
-    per-point adaptive escalation makes each one accurate relative to its
-    own magnitude, which is what the strongly cancelling cross-mode
-    integrals need.
+    The lattice values of mode k are one column, a list extended on demand
+    from one jnu3_lattice kernel; the other values are computed once per
+    key.  All are at the context's precision, and the per-point adaptive
+    escalation makes each one accurate relative to its own magnitude, which
+    is what the strongly cancelling cross-mode integrals need.
     """
 
     def __init__(self, params: QParams, records: dict[int, ZeroRecord],
@@ -60,6 +63,8 @@ class ModeCache:
         self.records = records
         self.ctx = ctx
         self._vals: dict = {}
+        # mode -> (values so far, the kernel that extends them)
+        self._columns: dict[int, tuple[list[mpf], Iterator[mpf]]] = {}
 
     def memo(self, key, compute: Callable[[], object]):
         """compute(), called once per key for the life of the cache."""
@@ -69,10 +74,28 @@ class ModeCache:
         return hit
 
     def value(self, k: int, j: int) -> mpf:
-        # q^(j+1)*j_k lands superexponentially close to smaller zeros
-        return self.memo((k, j), lambda: jnu3(
-            self.params, self.records[k].scaled(self.params, self.ctx, j + 1),
-            self.ctx).value)
+        """J_nu(q^(j+1) j_k; q^2), entry j of mode k's column.
+
+        The column starts at scaled(1) and steps its argument by q at the
+        precision the zero carries: q^(j+1) j_k lands superexponentially
+        close to smaller zeros for j <= k - 2, and the j/2 ulp that stepping
+        adds there stays inside that precision's guard digits.  A kernel
+        that raised is closed, so its column is dropped and restarts.
+        """
+        column = self._columns.get(k)
+        if column is None:
+            rec = self.records[k]
+            column = self._columns[k] = ([], jnu3_lattice(
+                self.params, rec.scaled(self.params, self.ctx, 1), self.ctx,
+                max(self.ctx.digits + 10, rec.arg_dps)))
+        values, kernel = column
+        try:
+            while len(values) <= j:
+                values.append(next(kernel))
+        except BaseException:
+            del self._columns[k]
+            raise
+        return values[j]
 
     def derivative(self, k: int) -> mpf:
         """J'_nu(j_k; q^2)."""
@@ -102,23 +125,44 @@ class ModeCache:
         return mp.sqrt(eta)
 
 
-def _read(f, cache: ModeCache) -> tuple[Callable[[int, mpf], mpf], int,
-                                        int | None]:
-    """f on the lattice as (value at (j, q^j), mode index or 0, sample count
-    or None): a LatticeFunction by index, a BasisFunction from the cache, a
-    callable at the lattice point.  A LatticeFunction must be sampled on the
+class _Integrand(NamedTuple):
+    """f on the lattice: its value at (j, q^j), its mode index or 0, and its
+    sample count or None."""
+
+    value: Callable[[int, mpf], mpf]
+    mode: int
+    count: int | None
+
+
+def _read(f, cache: ModeCache) -> _Integrand:
+    """f on the lattice, read at most once per lattice point: a
+    LatticeFunction's samples and a callable's values at q^j into a list, a
+    BasisFunction from the cache's column; an _Integrand as it is.  Lattice
+    sums read j = 0, 1, 2, ... in turn, and each steps t = q^j alike, so
+    the list holds f at the points where each sum would call it.  Call
+    inside ctx.workdps(10).  A LatticeFunction must be sampled on the
     cache's base q, and a BasisFunction's mode must have a zero record."""
+    if isinstance(f, _Integrand):
+        return f
     if isinstance(f, LatticeFunction):
         if not same_base(f, cache.params.q):
             raise BaseMismatchError(
                 f"lattice base {f.base} != expansion base {cache.params.q}")
-        return (lambda j, t: f.value(j)), 0, f.truncation
+        samples = [f.value(j) for j in range(f.truncation)]
+        return _Integrand(lambda j, t: samples[j], 0, f.truncation)
     if isinstance(f, BasisFunction):
         if f.n not in cache.records:
             raise ValueError(f"mode {f.n} has no zero record (the table "
                              f"holds k in {sorted(cache.records)})")
-        return (lambda j, t: cache.value(f.n, j)), f.n, None
-    return (lambda j, t: mp.mpf(f(t))), 0, None
+        return _Integrand(lambda j, t: cache.value(f.n, j), f.n, None)
+    values: list[mpf] = []
+
+    def value(j: int, t: mpf) -> mpf:
+        if j == len(values):
+            values.append(mp.mpf(f(t)))
+        return values[j]
+
+    return _Integrand(value, 0, None)
 
 
 def _integral(cache: ModeCache, f, k: int) -> mpf:
@@ -129,12 +173,12 @@ def _integral(cache: ModeCache, f, k: int) -> mpf:
     the mode indices, so the first max(n, k) + 5 terms are always summed,
     with n the mode index of f (0 for a callable).
     """
-    value, mode, count = _read(f, cache)
-
-    def term(j: int, t: mpf) -> mpf:
-        return t * t * value(j, t) * cache.value(k, j)
-
     with cache.ctx.workdps(10):
+        value, mode, count = _read(f, cache)
+
+        def term(j: int, t: mpf) -> mpf:
+            return t * t * value(j, t) * cache.value(k, j)
+
         return lattice_sum(term, cache.params.q_mp(), cache.ctx,
                            max(mode, k) + 5, n=count)
 
@@ -223,19 +267,20 @@ def riemann_lebesgue_rate(cache: ModeCache, f,
     the per-m Cauchy-Schwarz envelope
     |I_m| <= (integral t |f|^2 d_q t)^(1/2) * eta_m^(1/2).
     The hypothesis t^(1/2) f in L_q^2[0,1] is checked via the finiteness of
-    that weighted norm; a violation is reported, not fatal.
+    that weighted norm; a violation is reported, not fatal.  f is read once
+    per lattice point for the norm and every I_m.
     """
     rows = []
     with cache.ctx.workdps(10):
         q = cache.params.q_mp()
+        f = _read(f, cache)
         # integral of t |f|^2: the squared norm of t^(1/2) f
         try:
-            value, mode, count = _read(f, cache)
-            if mode:
-                wnorm2 = _integral(cache, f, mode)
+            if f.mode:
+                wnorm2 = _integral(cache, f, f.mode)
             else:
-                wnorm2 = lattice_sum(lambda j, t: t * t * value(j, t) ** 2,
-                                     q, cache.ctx, 9, n=count)
+                wnorm2 = lattice_sum(lambda j, t: t * t * f.value(j, t) ** 2,
+                                     q, cache.ctx, 9, n=f.count)
             hypothesis_ok = mp.isfinite(wnorm2)
         except (PrecisionError, OverflowError):
             wnorm2 = mp.inf
@@ -300,7 +345,8 @@ def expand(params: QParams, f, records: dict[int, ZeroRecord], K: int,
     """Compute eta, coefficients and lattice partial sums for f up to K modes.
 
     eta_k is the closed form through J_(nu+1); S_K is taken at the lattice
-    points q^j, j < LATTICE_SAMPLES.
+    points q^j, j < LATTICE_SAMPLES.  f is read once per lattice point for
+    all K coefficients.
     """
     if K > len(records):
         raise ValueError(
@@ -308,6 +354,7 @@ def expand(params: QParams, f, records: dict[int, ZeroRecord], K: int,
     cache = ModeCache(params, records, ctx)
     with ctx.workdps(10):
         q = params.q_mp()
+        f = _read(f, cache)
         etas = []
         coeffs = []
         for k in range(1, K + 1):

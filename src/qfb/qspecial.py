@@ -16,8 +16,10 @@ precision, so it is never coarser than the pass that reads it.  Tables grow
 lazily with k; all records together hold at most RATIO_CACHE_TERMS ratios,
 and the oldest records are dropped first.  A J series pass, for a value
 or for jnu3_sign's certified sign, runs in Python-int fixed point over the
-tables' integer mantissas.  The 1phi1 series keep their own mpf term
-recurrences, so the two routes that `consistency` compares stay
+tables' integer mantissas.  jnu3_lattice steps along the lattice q^i z:
+each value is jnu3's pass, and the argument and its power z^nu are stepped
+by q and q^nu instead of formed afresh.  The 1phi1 series keep their own
+mpf term recurrences, so the two routes that `consistency` compares stay
 independent.
 """
 
@@ -344,3 +346,43 @@ def jnu3_sign(params: QParams, z: Numeric, ctx: PrecisionContext,
     if series is None:
         series = _SERIES[key] = _Series(*key)
     return certified_sign(_pass_terms(series, z, False, []), dps, ctx.dps_cap)
+
+
+def jnu3_lattice(params: QParams, z: mpf, ctx: PrecisionContext,
+                 dps: int) -> Iterator[mpf]:
+    """J_nu(q^i z; q^2) for i = 0, 1, 2, ..., for z > 0 formed at ``dps``
+    digits.
+
+    Each value is jnu3's certified pass at q^i z times the prefactor and
+    (q^i z)^nu, in _evaluate's order.  The argument steps by q at ``dps``,
+    and its power by q^nu at digits + 20, so a column makes one mp.power.
+    Every value reads the (q, nu) record from _SERIES afresh, so a long
+    column never grows a record that RATIO_CACHE_TERMS has dropped.
+    """
+    with mp.workdps(dps):
+        z, q = _as_mp(z), params.q_mp()
+    if not 0 < z < mp.inf:
+        raise ValueError(f"z must be positive and finite, got {z}")
+    key = (params.q, None, params.nu)
+    with ctx.workdps(20):
+        nuv = params.nu_mp()
+        power, q_power = mp.power(z, nuv), mp.power(q, nuv)
+
+    def column() -> Iterator[mpf]:
+        nonlocal z, power
+        while True:
+            series = _SERIES.get(key)
+            if series is None:
+                series = _SERIES[key] = _Series(*key)
+            res = adaptive_sum(_pass_terms(series, z, False, []), ctx,
+                               min_terms=2)
+            pref = series.prefactor(ctx)
+            with mp.workdps(res.precision_used + EXTRA_GUARD):
+                value = pref * power * res.value
+            yield value
+            with mp.workdps(dps):
+                z = z * q
+            with ctx.workdps(20):
+                power = power * q_power
+
+    return column()

@@ -344,11 +344,17 @@ def empirical_k0(records: Sequence[ZeroRecord]) -> int | None:
 
 def count_zeros_below(params: QParams, z_max: Numeric,
                       ctx: PrecisionContext) -> int:
-    """Dense-scan census of zeros in (0, z_max] (oracle for small ranges)."""
+    """Dense-scan census of zeros in (0, z_max] (oracle for small ranges).
+
+    The scan runs over (z0, z_max], z0 = sqrt((1 - p^(nu+1)) (1 - p) / (2p))
+    with p = q^2: for z <= z0 the bare series alternates, its terms shrink
+    from the first on and the first ratio is at most 1/2, so J > 0 on
+    (0, z0].
+    """
     scan_ctx = PrecisionContext(30)
     with mp.workdps(40):
-        q = params.q_mp()
-        start = q ** 8
+        p = params.q_mp() ** 2
+        start = mp.sqrt((1 - p ** (params.nu_mp() + 1)) * (1 - p) / (2 * p))
     return len(dense_scan_brackets(params, start, z_max, scan_ctx))
 
 

@@ -1,10 +1,12 @@
 """Norms eta_k, expansion coefficients, Gram matrices, decay diagnostics."""
 
 import json
+from collections import Counter
 
 import pytest
 from mpmath import mp, mpf
 
+import qfb.expansion
 from qfb import (BaseMismatchError, BasisFunction, LatticeFunction, ModeCache,
                  PrecisionContext, PrecisionError, QParams, coefficient,
                  eta_k, expand, gram_matrix, jnu3, partial_sum, qintegral_01,
@@ -62,6 +64,33 @@ class TestEta:
     def test_unknown_method_rejected(self, cache):
         with pytest.raises(ValueError):
             eta_k(cache, 1, "nope")
+
+
+class TestColumns:
+    def test_column_restarts_after_a_raise(self, records, monkeypatch):
+        # a kernel that raised is closed; the next read starts the column
+        # anew instead of reading a spent generator
+        real = qfb.expansion.jnu3_lattice
+        starts = []
+
+        def failing_once(*args):
+            column = real(*args)
+            starts.append(args)
+            if len(starts) > 1:
+                return column
+
+            def fail_at_second():
+                yield next(column)
+                raise PrecisionError("no certified value")
+            return fail_at_second()
+
+        monkeypatch.setattr(qfb.expansion, "jnu3_lattice", failing_once)
+        cache = ModeCache(P, records, CTX)
+        with pytest.raises(PrecisionError):
+            cache.value(2, 3)
+        want = ModeCache(P, records, CTX).value(2, 3)
+        assert cache.value(2, 3) == want
+        assert len(starts) == 3
 
 
 class TestCoefficient:
@@ -210,6 +239,21 @@ class TestRiemannLebesgue:
         assert rep["hypothesis_ok"]
         assert all(r["cs_holds"] for r in rep["rows"])
 
+    def test_callable_read_once_per_lattice_point(self, cache):
+        # the weighted norm and every I_m share one reading of f, taken at
+        # the points each sum would call f at: the integrals are those of
+        # separate coefficient calls, bit for bit
+        calls = Counter()
+
+        def f(t):
+            calls[t] += 1
+            return 1 / (1 + t)
+
+        rep = riemann_lebesgue_rate(cache, f, range(1, 5))
+        assert calls and max(calls.values()) == 1
+        assert [r["integral"] for r in rep["rows"]] == [
+            coefficient(cache, f, m, 1) for m in range(1, 5)]
+
 
 class TestExpandResult:
     def test_json_payload(self, records):
@@ -221,6 +265,16 @@ class TestExpandResult:
         assert len(payload["eta"]) == 2
         assert len(payload["lattice_points"]) == \
             len(payload["partial_sum_values"])
+
+    def test_callable_read_once_per_lattice_point(self, records):
+        calls = Counter()
+
+        def f(t):
+            calls[t] += 1
+            return t
+
+        expand(P, f, records, 4, CTX)
+        assert calls and max(calls.values()) == 1
 
     def test_k_exceeding_records_rejected(self, records):
         with pytest.raises(ValueError):

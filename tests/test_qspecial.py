@@ -457,3 +457,65 @@ class TestQHyperProperty:
             want = (mpf(z) ** mpf(nu) * mp.qp(w, p) / mp.qp(p, p)
                     * mp.qhyper([0], [w], p, p * mpf(z) ** 2))
             assert abs(got - want) <= abs(want) * mpf(10) ** -38
+
+
+class TestLatticeKernel:
+    """jnu3_lattice against jnu3 at the point the column steps to."""
+
+    @staticmethod
+    def column_error(params, record, ctx, indices):
+        """Largest relative error of the column from record.scaled(1) at
+        the given indices against jnu3 at q^i z formed at the same dps."""
+        dps = max(ctx.digits + 10, record.arg_dps)
+        z = record.scaled(params, ctx, 1)
+        column = qspecial.jnu3_lattice(params, z, ctx, dps)
+        values = [next(column) for _ in range(max(indices) + 1)]
+        worst = mpf(0)
+        for i in indices:
+            with mp.workdps(dps):
+                zi = params.q_mp() ** i * z
+            want = jnu3(params, zi, ctx).value
+            with mp.workdps(ctx.digits + 20):
+                worst = max(worst, abs(values[i] - want) / abs(want))
+        return worst
+
+    def test_long_column(self, zero_tables, ctx120):
+        params = QParams("0.8", "0.5")
+        record = zero_tables("0.8", "0.5")[12]
+        worst = self.column_error(params, record, ctx120, range(0, 700, 37))
+        assert worst <= mpf(10) ** -(ctx120.digits + 10)
+
+    def test_near_zero_points(self, zero_tables, ctx120):
+        # q^(i+1) j_20 lands superexponentially close to j_(19-i) for
+        # i <= 18
+        params = QParams("0.3", "2.5")
+        record = zero_tables("0.3", "2.5", 20)[20]
+        worst = self.column_error(params, record, ctx120, range(19))
+        assert worst <= mpf(10) ** -(ctx120.digits + 10)
+
+    @pytest.mark.parametrize("z", [mpf(0), mpf(-1), mp.inf])
+    def test_rejects_non_positive_argument(self, z):
+        with pytest.raises(ValueError, match="z must be positive"):
+            qspecial.jnu3_lattice(QParams("0.5", "0.5"), z, CTX, 70)
+
+    def test_long_column_keeps_bound(self, monkeypatch):
+        # a value that evicts the column's record must not leave the column
+        # growing it outside the bound: each value fetches the record anew
+        params, ctx = QParams("0.5", "0.5"), PrecisionContext(40)
+        key = ("0.5", None, "0.5")
+        monkeypatch.setattr(qspecial, "_SERIES", {})
+        free = qspecial.jnu3_lattice(params, mpf(3), ctx, 50)
+        want = [next(free) for _ in range(200)]
+        monkeypatch.setattr(qspecial, "_SERIES", {})
+        monkeypatch.setattr(qspecial, "RATIO_CACHE_TERMS", 64)
+        column = qspecial.jnu3_lattice(params, mpf(3), ctx, 50)
+        got = []
+        for i in range(200):
+            if i % 50 == 25:
+                for nu in ("1", "1.5"):
+                    jnu3(QParams("0.5", nu), "1", ctx)
+                assert key not in qspecial._SERIES
+            got.append(next(column))
+            assert key in qspecial._SERIES
+            assert ratio_cache_total() <= 64
+        assert got == want

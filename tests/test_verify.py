@@ -74,6 +74,7 @@ def test_derivative_at_each_zero_is_evaluated_once(monkeypatch):
             ("qfb.expansion", "jnu3_derivative", "J'"),
             ("qfb.zeros", "jnu3_derivative", "J'"),
             ("qfb.expansion", "jnu3", "J"),
+            ("qfb.expansion", "jnu3_lattice", "J"),
             ("qfb.zeros", "jnu3", "J"),
             ("qfb.verify", "jnu3", "J")):
         original = getattr(importlib.import_module(module), attr)

@@ -261,6 +261,28 @@ class TestCensus:
     def test_empty_range(self):
         assert count_zeros_below(P, "0.5", CTX) == 0
 
+    @pytest.mark.parametrize("nu", ["0", "0.5"])
+    def test_scan_starts_below_the_first_zero(self, nu):
+        # at q = 0.9 the first zero (0.3225 for nu = 0.5) lies below q^8;
+        # an independent sign census of z^nu (q^(2nu+2);q^2)_inf /
+        # (q^2;q^2)_inf * mpmath.qhyper([0], [q^(2nu+2)], q^2, q^2 z^2) at
+        # 40 digits counts 6 zeros below q^-6 for both orders
+        params = QParams("0.9", nu)
+        with mp.workdps(60):
+            zmax = params.q_mp() ** -6 * (1 + mpf(10) ** -30)
+        assert count_zeros_below(params, zmax, CTX) == 6
+
+    @pytest.mark.parametrize("q,nu", [("0.3", "2.5"), ("0.5", "0"),
+                                      ("0.8", "0.5"), ("0.95", "0.5"),
+                                      ("0.95", "-0.5")])
+    def test_positive_at_scan_start(self, q, nu):
+        # J > 0 on (0, z0]: the census need not scan there
+        params = QParams(q, nu)
+        with mp.workdps(40):
+            p = params.q_mp() ** 2
+            z0 = mp.sqrt((1 - p ** (params.nu_mp() + 1)) * (1 - p) / (2 * p))
+        assert jnu3_sign(params, z0, CTX, 30)[0] == 1
+
 
 class TestEmpiricalK0:
     def _rec(self, k, ok):
