@@ -1,10 +1,12 @@
-"""Command-line front end.
+"""Command-line front end, and the one writer of every output.
 
 Subcommands: eval | zeros | verify | expand.  All numbers cross the CLI
-boundary as decimal strings (never binary floats); CSV output is RFC-4180
-with a header row, JSON is UTF-8 with decimal-string reals.  Exit code 0
-means every requested check passed and no error occurred, 1 that a check
-failed, and 2 a usage or numerical error.
+boundary as decimal strings (never binary floats).  The library returns
+data; this module alone formats it: _decimal turns every mpf of a record
+into a decimal string, and the same rows are written as RFC-4180 CSV with a
+header row (_csv) or as UTF-8 JSON.  Exit code 0 means every requested
+check passed and no error occurred, 1 that a check failed, and 2 a usage or
+numerical error.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ import io
 import json
 import os
 import sys
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from mpmath import mp, mpf
 
 from .precision import DivergenceError, PrecisionContext, PrecisionError
-from .qcore import LatticeFunction, QParams, _as_mp
+from .qcore import LatticeFunction, QParams
 from .qspecial import jnu3, jnu3_derivative
-from .zeros import (SAMPLES_PER_INTERVAL, ScanExhaustedError, zero_table,
-                    zero_table_to_csv, zero_table_to_json)
+from .zeros import SAMPLES_PER_INTERVAL, ScanExhaustedError, zero_table
 from .expansion import BasisFunction, expand
 from .verify import CHECK_IDS, DEFAULT_RL_FUNCTIONS, GRAM_TOL, run_checks
 
@@ -80,6 +81,32 @@ def _resolve_f(spec: str, n_modes: int):
                              f"zero table covers k = 1..{n_modes}")
         return BasisFunction(n)
     return _rule_from_expr(spec, "t")
+
+
+def _decimal(x, digits: int):
+    """x with every mpf, also inside dicts, lists and tuples, as a decimal
+    string of ``digits`` significant digits; anything else as it is."""
+    if isinstance(x, mpf):
+        return mp.nstr(x, digits)
+    if isinstance(x, dict):
+        return {k: _decimal(v, digits) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_decimal(v, digits) for v in x]
+    return x
+
+
+def _csv(rows: Iterable[dict], keys: Sequence[str]) -> str:
+    """RFC-4180 CSV: the header row ``keys``, then each row's values under
+    them; None is written as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(keys)
+    writer.writerows([row[k] for k in keys] for row in rows)
+    return buf.getvalue()
+
+
+def _json(data) -> str:
+    return json.dumps(data, indent=2)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -186,22 +213,14 @@ def _cmd_eval(args) -> int:
             d = None
         rows.append({
             "z": zs,
-            "J": mp.nstr(r.value, ctx.digits),
-            "J_prime": mp.nstr(d.value, ctx.digits) if d else "",
+            "J": _decimal(r.value, ctx.digits),
+            "J_prime": _decimal(d.value, ctx.digits) if d else "",
             "terms": r.terms_used,
             "precision_used": max(r.precision_used,
                                   d.precision_used if d else 0),
         })
-    if args.format == "json":
-        _emit(json.dumps(rows, indent=2), args.out)
-    else:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\r\n")
-        w.writerow(["z", "J", "J_prime", "terms", "precision_used"])
-        for row in rows:
-            w.writerow([row["z"], row["J"], row["J_prime"], row["terms"],
-                        row["precision_used"]])
-        _emit(buf.getvalue(), args.out)
+    _emit(_json(rows) if args.format == "json" else _csv(rows, list(rows[0])),
+          args.out)
     return 0
 
 
@@ -209,11 +228,18 @@ def _cmd_zeros(args) -> int:
     _check_kmax(args.kmax, args.allow_large_k)
     params = QParams(args.q, args.nu)
     ctx = PrecisionContext(digits=args.digits)
-    records = zero_table(params, args.kmax, ctx)
-    if args.format == "json":
-        _emit(zero_table_to_json(records, digits=args.digits), args.out)
-    else:
-        _emit(zero_table_to_csv(records, digits=args.digits), args.out)
+    # j and its bracket at the requested digits, the exponents at 30
+    rows = [{"k": rec.k,
+             **_decimal({"j": rec.j, "bracket_lo": rec.bracket_lo,
+                         "bracket_hi": rec.bracket_hi}, args.digits),
+             **_decimal({"epsilon_k": rec.epsilon_k,
+                         "alpha_k": rec.alpha_k}, 30),
+             "refined_to": rec.refined_to,
+             "asymptotic_bracket_ok": rec.asymptotic_bracket_ok}
+            for rec in zero_table(params, args.kmax, ctx)]
+    _emit(_json(rows) if args.format == "json" else _csv(
+        [{**row, "digits": row["refined_to"]} for row in rows],
+        ["k", "j", "epsilon_k", "alpha_k", "digits"]), args.out)
     return 0
 
 
@@ -233,10 +259,11 @@ def _cmd_verify(args) -> int:
                         theta_zero_rule=theta_zero, theta_inf_rule=theta_inf,
                         samples_per_interval=args.samples, gram_tol=gram_tol,
                         rl_functions=rl_functions)
-    if args.format == "json":
-        _emit(report.to_json(digits=40), args.out)
-    else:
-        _emit(report.to_csv(digits=40), args.out)
+    results = [_decimal(vars(r), 40) for r in report.results]
+    _emit(_json({"passed": report.passed, "results": results})
+          if args.format == "json" else
+          _csv(results, ["check", "status", "margin", "threshold", "anchor"]),
+          args.out)
     return 0 if report.passed else 1
 
 
@@ -247,18 +274,19 @@ def _cmd_expand(args) -> int:
     f = _resolve_f(args.f, args.K)
     records = {r.k: r for r in zero_table(params, args.K, ctx)}
     result = expand(params, f, records, args.K, ctx)
-    _emit(result.to_json(digits=args.digits), args.out)
+    payload = {"q": str(result.params.q), "nu": str(result.params.nu),
+               "K": result.K,
+               **_decimal({"eta": result.eta, "coeffs": result.coeffs,
+                           "lattice_points": result.lattice_points,
+                           "partial_sum_values": result.partial_sum_values},
+                          args.digits),
+               "decay": _decimal(result.decay, 30)}
+    # the plot first: a plot file that cannot be written leaves no output
     if args.plot_csv:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\r\n")
-        w.writerow(["x", "S_K"])
-        with mp.workdps(args.digits + 10):
-            for x, v in zip(result.lattice_points,
-                            result.partial_sum_values):
-                w.writerow([mp.nstr(_as_mp(x), args.digits),
-                            mp.nstr(v, args.digits)])
-        with open(args.plot_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        _emit(_csv([{"x": x, "S_K": v} for x, v in zip(
+            payload["lattice_points"], payload["partial_sum_values"])],
+            ["x", "S_K"]), args.plot_csv)
+    _emit(_json(payload), args.out)
     return 0
 
 

@@ -9,12 +9,12 @@ integral.  Coefficient integrals against mode m involve J_nu at arguments up
 to ~ q^(1-m), so every point evaluation runs under the adaptive cancellation
 policy.  A mode's lattice values form one column, stepped along the lattice
 by qspecial.jnu3_lattice, and an integrand is read once per lattice point
-for all the sums of one call.
+for all the sums of one call.  ExpansionResult holds mpf values; qfb.cli
+writes them as JSON.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -48,7 +48,8 @@ class BasisFunction:
 class ModeCache:
     """Lazy cache of per-zero values, the one place where they are
     evaluated: basis-function values J_nu(q j_k q^j; q^2), J'_nu(j_k; q^2),
-    J_(nu+1)(q j_k; q^2) and the closed-form eta_k.
+    J_(nu+1)(q j_k; q^2), and eta_k by the closed form and by the lattice
+    integral.
 
     The lattice values of mode k are one column, a list extended on demand
     from one jnu3_lattice kernel; the other values are computed once per
@@ -114,6 +115,12 @@ class ModeCache:
     def eta(self, k: int) -> mpf:
         """eta_k by the closed form through J_(nu+1), computed once per k."""
         return self.memo(("eta", k), lambda: eta_k(self, k))
+
+    def eta_integral(self, k: int) -> mpf:
+        """eta_k by the lattice integral, computed once per k; it is also
+        the Gram matrix's diagonal entry before normalisation."""
+        return self.memo(("integral", k),
+                         lambda: _integral(self, BasisFunction(k), k))
 
     def eta_root(self, k: int) -> mpf:
         """sqrt(eta_k).  A squared norm that is not positive was computed
@@ -195,7 +202,7 @@ def eta_k(cache: ModeCache, k: int,
     if method not in ETA_METHODS:
         raise ValueError(f"unknown eta method {method!r}")
     if method == "integral":
-        return _integral(cache, BasisFunction(k), k)
+        return cache.eta_integral(k)
     with cache.ctx.workdps(10):
         q = cache.params.q_mp()
         nu = cache.params.nu_mp()
@@ -252,7 +259,8 @@ def gram_matrix(cache: ModeCache, K: int) -> list[list[mpf]]:
         g = [[mpf(0)] * K for _ in range(K)]
         for n in range(1, K + 1):
             for m in range(n, K + 1):
-                raw = _integral(cache, BasisFunction(n), m)
+                raw = (cache.eta_integral(n) if n == m
+                       else _integral(cache, BasisFunction(n), m))
                 val = raw / (roots[n - 1] * roots[m - 1])
                 g[n - 1][m - 1] = val
                 g[m - 1][n - 1] = val
@@ -321,23 +329,6 @@ class ExpansionResult:
     lattice_points: list
     partial_sum_values: list
     decay: dict = field(default_factory=dict)
-
-    def to_json(self, digits: int = 50) -> str:
-        with mp.workdps(digits + 10):
-            payload = {
-                "q": str(self.params.q),
-                "nu": str(self.params.nu),
-                "K": self.K,
-                "eta": [mp.nstr(e, digits) for e in self.eta],
-                "coeffs": [mp.nstr(c, digits) for c in self.coeffs],
-                "lattice_points": [mp.nstr(_as_mp(x), digits)
-                                   for x in self.lattice_points],
-                "partial_sum_values": [mp.nstr(v, digits)
-                                       for v in self.partial_sum_values],
-                "decay": {k: (mp.nstr(v, 30) if isinstance(v, mpf) else v)
-                          for k, v in self.decay.items()},
-            }
-        return json.dumps(payload, indent=2)
 
 
 def expand(params: QParams, f, records: dict[int, ZeroRecord], K: int,

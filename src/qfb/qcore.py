@@ -1,5 +1,5 @@
 """q-arithmetic core: q-shifted factorials, the Thomae q-integral on [0,1],
-and the L_q^2[0,1] inner product.
+and functions sampled on the q-lattice.
 
 The q-integral of f over [0,1] is the lattice sum (1-q) * sum_k f(q^k) q^k,
 so a function only matters on the geometric lattice {q^k}.  Every such sum
@@ -215,23 +215,3 @@ def qintegral_01(f: LatticeFunction | Callable, ctx: PrecisionContext,
         raise ValueError("analytic integrands require the base q")
     with ctx.workdps(10):
         return lattice_sum(lambda j, t: f(t) * t, _as_mp(q), ctx, 9)
-
-
-def inner_product(f: LatticeFunction, g: LatticeFunction,
-                  ctx: PrecisionContext) -> mpf:
-    """<f, g> = integral of f*g over [0,1] (real-valued, so no conjugation).
-
-    The shorter lattice is zero-padded to the longer one.
-    """
-    if not same_base(f, g):
-        raise BaseMismatchError(f"bases differ: {f.base} vs {g.base}")
-    with ctx.workdps(10):
-        return lattice_sum(lambda j, t: f.value(j) * g.value(j) * t,
-                           f.base_mp(), ctx,
-                           n=max(f.truncation, g.truncation))
-
-
-def norm_lq2(f: LatticeFunction, ctx: PrecisionContext) -> mpf:
-    """L_q^2[0,1] norm, sqrt(<f, f>)."""
-    with ctx.workdps(10):
-        return mp.sqrt(inner_product(f, f, ctx))

@@ -5,7 +5,8 @@ interlacing of shifted zeros, decay bounds, orthogonality, coefficient decay,
 or internal consistency between independent computation routes — and returns
 an auditable record: the mathematical statement being tested (the anchor),
 the parameters, an observed margin, a threshold index for asymptotic
-statements, and a pass/fail status.
+statements, and a pass/fail status.  The records are data (mpf values, not
+strings); qfb.cli writes them as CSV or JSON.
 
 Asymptotic statements ("for large indices") are operationalized as: the
 property must hold for every index from a reported threshold up to the tested
@@ -15,7 +16,6 @@ is doubled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -104,26 +104,6 @@ class CheckResult:
     threshold: int | None = None
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self, digits: int = 30) -> dict:
-        def conv(x):
-            if isinstance(x, mpf):
-                return mp.nstr(x, digits)
-            if isinstance(x, dict):
-                return {k: conv(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [conv(v) for v in x]
-            return x
-        with mp.workdps(digits + 10):
-            return {
-                "check": self.check,
-                "anchor": self.anchor,
-                "params": conv(self.params),
-                "status": self.status,
-                "margin": conv(self.margin),
-                "threshold": self.threshold,
-                "details": conv(self.details),
-            }
-
 
 @dataclass
 class VerificationReport:
@@ -132,29 +112,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(r.status != "fail" for r in self.results)
-
-    def to_json(self, digits: int = 30) -> str:
-        return json.dumps({
-            "passed": self.passed,
-            "results": [r.to_json_dict(digits)
-                        for r in sorted(self.results, key=lambda r: r.check)],
-        }, indent=2)
-
-    def to_csv(self, digits: int = 30) -> str:
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(["check", "status", "margin", "threshold", "anchor"])
-        with mp.workdps(digits + 10):
-            for r in sorted(self.results, key=lambda r: r.check):
-                writer.writerow([
-                    r.check, r.status,
-                    mp.nstr(r.margin, digits) if r.margin is not None else "",
-                    r.threshold if r.threshold is not None else "",
-                    r.anchor,
-                ])
-        return buf.getvalue()
 
 
 def _default_theta_zero(m: int) -> mpf:
@@ -451,7 +408,8 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
     """
     if kmax < 2:
         raise ValueError(f"kmax must be >= 2, got {kmax}")
-    ids = list(check_ids) if check_ids else list(CHECK_IDS)
+    # each selected check runs once, however often it is named
+    ids = sorted(set(check_ids or CHECK_IDS))
     for cid in ids:
         if cid not in _CHECK_FUNCS:
             raise ValueError(
@@ -484,6 +442,6 @@ def run_checks(params: QParams, ctx: PrecisionContext, kmax: int = 12,
     results = [
         _result(cid, params, *_CHECK_FUNCS[cid](
             params, ctx, records, cache, kmax, **settings.get(cid, {})))
-        for cid in sorted(ids)
+        for cid in ids
     ]
     return VerificationReport(results=results)

@@ -10,14 +10,12 @@ the bare series, whose sign is J's for z > 0, until its precision exceeds the
 digits lost to cancellation by a guard).  Each j_k is the zero bisection
 gives; secant steps narrow a certified bracket until it fits in the cell
 where bisection would stop.  A scan or a refinement starts each sign query
-10 digits below the precision that certified its previous one.
+10 digits below the precision that certified its previous one.  The records
+and rows are data; qfb.cli writes them out.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -63,20 +61,6 @@ class ZeroRecord:
         """The argument q^m * j, formed at the precision j carries."""
         with mp.workdps(max(ctx.digits + 10, self.arg_dps)):
             return params.q_mp() ** m * self.j
-
-    def to_json_dict(self, digits: int = 50) -> dict:
-        with mp.workdps(digits + 10):
-            return {
-                "k": self.k,
-                "j": mp.nstr(self.j, digits),
-                "bracket_lo": mp.nstr(self.bracket_lo, digits),
-                "bracket_hi": mp.nstr(self.bracket_hi, digits),
-                "epsilon_k": mp.nstr(self.epsilon_k, 30),
-                "alpha_k": (mp.nstr(self.alpha_k, 30)
-                            if self.alpha_k is not None else None),
-                "refined_to": self.refined_to,
-                "asymptotic_bracket_ok": self.asymptotic_bracket_ok,
-            }
 
 
 def alpha_k(params: QParams, k: int,
@@ -531,26 +515,3 @@ def verify_decay_bounds(cache: ModeCache, k_values: Iterable[int]) -> dict:
                 "holds_d": bool(j_shift <= bound_d),
             })
     return {"rows": rows}
-
-
-def zero_table_to_csv(records: Sequence[ZeroRecord],
-                      digits: int = 50) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["k", "j", "epsilon_k", "alpha_k", "digits"])
-    with mp.workdps(digits + 10):
-        for rec in records:
-            writer.writerow([
-                rec.k,
-                mp.nstr(rec.j, digits),
-                mp.nstr(rec.epsilon_k, 30),
-                mp.nstr(rec.alpha_k, 30) if rec.alpha_k is not None else "",
-                rec.refined_to,
-            ])
-    return buf.getvalue()
-
-
-def zero_table_to_json(records: Sequence[ZeroRecord],
-                       digits: int = 50) -> str:
-    return json.dumps([rec.to_json_dict(digits) for rec in records],
-                      indent=2)

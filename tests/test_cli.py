@@ -1,5 +1,7 @@
 """CLI behavior: formats, exit codes, determinism, environment handling."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -137,6 +139,9 @@ class TestZeros:
                               "--out", str(path)], capsys)
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+        lines = a.read_bytes().decode("utf-8").strip().split("\r\n")
+        assert lines[0] == "k,j,epsilon_k,alpha_k,digits"
+        assert len(lines) == 1 + 3
 
     def test_json_format(self, capsys):
         code, out, _ = run(["zeros", "--q", "0.5", "--nu", "0", "--kmax",
@@ -145,14 +150,18 @@ class TestZeros:
         assert code == 0
         rows = json.loads(out)
         assert [r["k"] for r in rows] == [1, 2]
+        for r in rows:
+            assert set(r) >= {"j", "epsilon_k", "alpha_k",
+                              "asymptotic_bracket_ok", "refined_to"}
 
 
 class TestVerify:
     def test_subset_selection_and_pass(self, capsys):
+        # a check named twice runs once
         code, out, _ = run(["verify", "--q", "0.5", "--nu", "0",
                             "--kmax", "2", "--digits", "40",
-                            "--check", "gram", "--tol", "1e-5",
-                            "--format", "json"], capsys)
+                            "--check", "gram", "--check", "gram",
+                            "--tol", "1e-5", "--format", "json"], capsys)
         assert code == 0
         rep = json.loads(out)
         assert rep["passed"] is True
@@ -272,7 +281,10 @@ class TestExpand:
                             "--f", "1", "--digits", "40"], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert len(payload["coeffs"]) == 2
+        assert payload["q"] == "0.5" and payload["K"] == 2
+        assert len(payload["coeffs"]) == len(payload["eta"]) == 2
+        assert len(payload["lattice_points"]) == \
+            len(payload["partial_sum_values"])
 
     def test_mode_spec_gives_unit_vector(self, capsys):
         code, out, _ = run(["expand", "--q", "0.5", "--nu", "0", "--K", "3",
@@ -361,6 +373,14 @@ class TestExpand:
         assert lines[0] == "x,S_K"
         assert len(lines) > 2
 
+    def test_unwritable_plot_csv_exits_2_with_empty_stdout(self, tmp_path,
+                                                           capsys):
+        code, out, err = run(["expand", "--q", "0.5", "--nu", "0", "--K", "1",
+                              "--f", "1", "--digits", "40", "--plot-csv",
+                              str(tmp_path / "missing" / "plot.csv")], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("qfb expand: error: ")
+
     def test_matches_golden_to_50_digits(self, capsys):
         code, out, _ = run(["expand", "--q", "0.5", "--nu", "0", "--K", "4",
                             "--f", "t**(-1/4)", "--digits", "60"], capsys)
@@ -384,6 +404,48 @@ class TestExpand:
                               "--out", str(path)], capsys)
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestFormatsAgree:
+    """The CSV and the JSON of one run carry the same fields."""
+
+    @staticmethod
+    def both(argv, capsys):
+        outputs = []
+        for fmt in ("csv", "json"):
+            code, out, _ = run([*argv, "--format", fmt], capsys)
+            assert code == 0
+            outputs.append(out)
+        text, payload = outputs
+        return list(csv.DictReader(io.StringIO(text))), json.loads(payload)
+
+    @staticmethod
+    def field(value):
+        return "" if value is None else str(value)
+
+    def test_zeros(self, capsys):
+        rows, records = self.both(["zeros", "--q", "0.8", "--nu", "0",
+                                   "--kmax", "3", "--digits", "40"], capsys)
+        assert len(rows) == len(records) == 3
+        for row, rec in zip(rows, records):
+            assert row == {
+                "k": str(rec["k"]), "j": rec["j"],
+                "epsilon_k": rec["epsilon_k"],
+                "alpha_k": self.field(rec["alpha_k"]),
+                "digits": str(rec["refined_to"])}
+
+    def test_verify(self, capsys):
+        rows, report = self.both(["verify", "--q", "0.5", "--nu", "0",
+                                  "--kmax", "3", "--digits", "40",
+                                  "--check", "signs", "--check", "eta-decay",
+                                  "--check", "gram", "--tol", "1e-5"], capsys)
+        results = report["results"]
+        assert [r["check"] for r in results] == ["eta-decay", "gram", "signs"]
+        assert [r["margin"] is None for r in results] == [False, False, True]
+        for row, result in zip(rows, results, strict=True):
+            assert row == {key: self.field(result[key]) for key in
+                           ("check", "status", "margin", "threshold",
+                            "anchor")}
 
 
 class TestEnvironment:

@@ -1,12 +1,14 @@
 """Traceability: every report anchor must appear in the docs matrix, the
 package version matches the project metadata, every public name has a
-use, every code name the docs cite exists, the README's examples run, and
-committed benchmark evidence follows the format the README describes."""
+use, every code name the docs cite exists, the README's examples and
+commands run, and committed benchmark evidence follows the format the
+README describes."""
 
 import importlib
 import json
 import pkgutil
 import re
+import shlex
 import statistics
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 
 import qfb
 from qfb import ANCHORS, CHECK_IDS
+from qfb.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DOC = ROOT / "docs" / "checks.md"
@@ -77,6 +80,20 @@ def test_readme_python_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # every `qfb ...` line of the command-line block exits 0, at the
+    # defaults the README documents
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```",
+                      README.read_text("utf-8"), re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("qfb ")]
+    assert len(commands) == 4
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QFB_DIGITS", raising=False)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_every_public_name_is_used_or_documented():

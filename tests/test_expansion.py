@@ -1,6 +1,5 @@
 """Norms eta_k, expansion coefficients, Gram matrices, decay diagnostics."""
 
-import json
 from collections import Counter
 
 import pytest
@@ -256,16 +255,6 @@ class TestRiemannLebesgue:
 
 
 class TestExpandResult:
-    def test_json_payload(self, records):
-        result = expand(P, lambda t: mpf(1), records, 2, CTX)
-        payload = json.loads(result.to_json())
-        assert payload["q"] == "0.5"
-        assert payload["K"] == 2
-        assert len(payload["coeffs"]) == 2
-        assert len(payload["eta"]) == 2
-        assert len(payload["lattice_points"]) == \
-            len(payload["partial_sum_values"])
-
     def test_callable_read_once_per_lattice_point(self, records):
         calls = Counter()
 

@@ -1,12 +1,11 @@
-"""q-Pochhammer symbols, q-integrals, lattice functions and inner products."""
+"""q-Pochhammer symbols, q-integrals and lattice functions."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qfb import (BaseMismatchError, LatticeFunction, PrecisionContext,
-                 QParams, inner_product, norm_lq2, qintegral_01,
-                 qpochhammer_infinite, qpochhammer_multi, same_base)
+                 QParams, qintegral_01, qpochhammer_infinite,
+                 qpochhammer_multi, same_base)
 import qfb.qcore as qcore
 from qfb.qcore import lattice_sum
 
@@ -167,39 +166,3 @@ class TestLatticeFunction:
     def test_zero_beyond_truncation(self):
         lf = LatticeFunction(values=("7",), base="0.5")
         assert lf.value(5) == 0
-
-
-class TestInnerProduct:
-    def _lat(self, vals):
-        return LatticeFunction(values=vals, base="0.5")
-
-    def test_symmetry(self):
-        f = self._lat(("1", "2", "3"))
-        g = self._lat(("-1", "0.5"))
-        assert inner_product(f, g, CTX) == inner_product(g, f, CTX)
-
-    def test_positive_semidefinite_and_norm(self):
-        f = self._lat(("1", "-2", "0.25"))
-        ip = inner_product(f, f, CTX)
-        assert ip > 0
-        with mp.workdps(60):
-            assert abs(norm_lq2(f, CTX) ** 2 - ip) <= ip * mpf(10) ** -50
-
-    @given(st.lists(st.integers(min_value=-5, max_value=5),
-                    min_size=1, max_size=6),
-           st.lists(st.integers(min_value=-5, max_value=5),
-                    min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
-    def test_cauchy_schwarz(self, avals, bvals):
-        f = self._lat(tuple(str(v) for v in avals))
-        g = self._lat(tuple(str(v) for v in bvals))
-        with mp.workdps(60):
-            lhs = abs(inner_product(f, g, CTX))
-            rhs = norm_lq2(f, CTX) * norm_lq2(g, CTX)
-            assert lhs <= rhs * (1 + mpf(10) ** -40)
-
-    def test_base_mismatch_raises(self):
-        f = LatticeFunction(values=("1",), base="0.5")
-        g = LatticeFunction(values=("1",), base="0.3")
-        with pytest.raises(BaseMismatchError):
-            inner_product(f, g, CTX)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import qfb.expansion
 from qfb import PrecisionContext, QParams, run_checks, zero_table
 
 
@@ -83,3 +84,20 @@ def test_derivative_at_each_zero_is_evaluated_once(monkeypatch):
     assert calls == {("J'", 1, 40): 1, ("J'", 2, 40): 1, ("J'", 3, 40): 1,
                      ("J'", 3, 80): 1,
                      ("J", 1, 40): 1, ("J", 2, 40): 1, ("J", 3, 40): 1}
+
+
+def test_each_mode_integral_is_summed_once(monkeypatch):
+    # the Gram diagonal and consistency's integral route of eta_k are one
+    # memoised value: a kmax-3 report sums each <J_n, J_m> once
+    calls = Counter()
+    original = qfb.expansion._integral
+
+    def counted(cache, f, k):
+        calls[f.n, k] += 1
+        return original(cache, f, k)
+
+    monkeypatch.setattr("qfb.expansion._integral", counted)
+    run_checks(QParams("0.5", "0"), PrecisionContext(40), kmax=3,
+               check_ids=["gram", "consistency"])
+    assert calls == {(1, 1): 1, (1, 2): 1, (1, 3): 1, (2, 2): 1, (2, 3): 1,
+                     (3, 3): 1}

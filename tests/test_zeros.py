@@ -11,8 +11,7 @@ import qfb.zeros
 from qfb import (ModeCache, PrecisionContext, PrecisionError, QParams,
                  ZeroRecord, alpha_k, count_zeros_below, dense_scan_brackets,
                  derivative_sign_pattern, empirical_k0, find_zero, jnu3,
-                 verify_shifted_zero, verify_sign_constancy, zero_table,
-                 zero_table_to_csv, zero_table_to_json)
+                 verify_shifted_zero, verify_sign_constancy, zero_table)
 from qfb.qspecial import jnu3_sign
 from qfb.zeros import _bisection_cell, _sgn
 
@@ -355,20 +354,3 @@ class TestSignConstancy:
                                     samples_per_interval=4)
         assert 1 in rep["skipped"] and 2 in rep["skipped"]
         assert all(r["m"] >= 3 for r in rep["rows"])
-
-
-class TestSerialization:
-    def test_csv_shape(self, table3):
-        text = zero_table_to_csv(table3)
-        lines = text.strip().split("\r\n")
-        assert lines[0] == "k,j,epsilon_k,alpha_k,digits"
-        assert len(lines) == 1 + len(table3)
-
-    def test_json_fields(self, table3):
-        import json
-        rows = json.loads(zero_table_to_json(table3))
-        assert [r["k"] for r in rows] == [1, 2, 3]
-        for r in rows:
-            assert set(r) >= {"j", "epsilon_k", "alpha_k",
-                              "asymptotic_bracket_ok", "refined_to"}
-
