@@ -1,5 +1,6 @@
 """Norms eta_k, expansion coefficients, Gram matrices, decay diagnostics."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from qfb import (BaseMismatchError, BasisFunction, LatticeFunction, ModeCache,
                  PrecisionContext, PrecisionError, QParams, coefficient,
                  eta_k, expand, gram_matrix, jnu3, partial_sum, qintegral_01,
                  riemann_lebesgue_rate, run_checks, zero_table)
+from qfb.cli import main
 from qfb.expansion import LATTICE_SAMPLES
 
 CTX = PrecisionContext(digits=50)
@@ -255,6 +257,20 @@ class TestRiemannLebesgue:
 
 
 class TestExpandResult:
+    def test_json_payload(self, records, capsys):
+        # the payload ``qfb expand`` writes for the result of the same call
+        result = expand(P, lambda t: mpf(1), records, 2, CTX)
+        assert main(["expand", "--q", "0.5", "--nu", "0", "--K", "2",
+                     "--f", "1", "--digits", "50"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q"] == "0.5"
+        assert payload["K"] == 2
+        assert len(payload["coeffs"]) == 2
+        assert len(payload["eta"]) == 2
+        assert len(payload["lattice_points"]) == \
+            len(payload["partial_sum_values"])
+        assert payload["coeffs"] == [mp.nstr(c, 50) for c in result.coeffs]
+
     def test_callable_read_once_per_lattice_point(self, records):
         calls = Counter()
 

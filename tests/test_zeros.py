@@ -12,6 +12,7 @@ from qfb import (ModeCache, PrecisionContext, PrecisionError, QParams,
                  ZeroRecord, alpha_k, count_zeros_below, dense_scan_brackets,
                  derivative_sign_pattern, empirical_k0, find_zero, jnu3,
                  verify_shifted_zero, verify_sign_constancy, zero_table)
+from qfb.cli import main
 from qfb.qspecial import jnu3_sign
 from qfb.zeros import _bisection_cell, _sgn
 
@@ -354,3 +355,29 @@ class TestSignConstancy:
                                     samples_per_interval=4)
         assert 1 in rep["skipped"] and 2 in rep["skipped"]
         assert all(r["m"] >= 3 for r in rep["rows"])
+
+
+class TestSerialization:
+    """The table as ``qfb zeros`` writes it, at the parameters of table3."""
+
+    ARGV = ["zeros", "--q", "0.5", "--nu", "0", "--kmax", "3",
+            "--digits", "60"]
+
+    def test_csv_shape(self, table3, capsys):
+        assert main(self.ARGV) == 0
+        lines = capsys.readouterr().out.strip().split("\r\n")
+        assert lines[0] == "k,j,epsilon_k,alpha_k,digits"
+        assert len(lines) == 1 + len(table3)
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [str(rec.k), mp.nstr(rec.j, 60)] for rec in table3]
+
+    def test_json_fields(self, table3, capsys):
+        assert main([*self.ARGV, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["k"] for r in rows] == [1, 2, 3]
+        for r, rec in zip(rows, table3):
+            assert set(r) >= {"j", "epsilon_k", "alpha_k",
+                              "asymptotic_bracket_ok", "refined_to"}
+            assert r["j"] == mp.nstr(rec.j, 60)
+            assert r["refined_to"] == rec.refined_to
+            assert r["asymptotic_bracket_ok"] == rec.asymptotic_bracket_ok
