@@ -137,9 +137,8 @@ def _check_kmax(kmax: int, allow_large: bool, option: str = "kmax") -> None:
     if kmax < 0:
         raise ValueError(f"{option} must be >= 0, got {kmax}")
     if kmax > HARD_KMAX and not allow_large:
-        raise ValueError(
-            f"kmax={kmax} exceeds the cap {HARD_KMAX}; the cost grows like "
-            "digits ~ k^2, pass --allow-large-k to override")
+        raise ValueError(f"kmax={kmax} exceeds the cap {HARD_KMAX}; pass "
+                         "--allow-large-k to override")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,9 @@ The q-integral of f over [0,1] is the lattice sum (1-q) * sum_k f(q^k) q^k,
 so a function only matters on the geometric lattice {q^k}.  Every such sum
 in the package goes through lattice_sum: a LatticeFunction, which captures
 exactly that support with an explicit truncation, is summed in full over
-its samples; an analytic integrand is summed over the open-ended lattice
-under the package's one truncation rule.
+its samples (qfb.expansion reads one from a --f file); an analytic
+integrand is summed over the open-ended lattice under the package's one
+truncation rule.
 """
 
 from __future__ import annotations
@@ -83,16 +84,6 @@ class LatticeFunction:
 
     def base_mp(self) -> mpf:
         return _as_mp(self.base)
-
-    def to_json(self, digits: int = 50) -> str:
-        with mp.workdps(digits + 10):
-            payload = {
-                "q": mp.nstr(self.base_mp(), digits),
-                "N": self.truncation,
-                "values": [mp.nstr(self.value(j), digits)
-                           for j in range(self.truncation)],
-            }
-        return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "LatticeFunction":
@@ -196,22 +187,8 @@ def lattice_sum(term: Callable[[int, mpf], mpf], q: mpf,
     return (1 - q) * total
 
 
-def qintegral_01(f: LatticeFunction | Callable, ctx: PrecisionContext,
-                 q: Numeric | None = None) -> mpf:
-    """Thomae q-integral of f over [0,1].
-
-    A LatticeFunction is integrated exactly as a finite sum.  A callable is
-    treated as an analytic integrand and summed over the open-ended lattice
-    with the truncation policy of the context; the base q must be supplied.
-    """
-    if isinstance(f, LatticeFunction):
-        if q is not None and not same_base(f, q):
-            raise BaseMismatchError(
-                f"lattice base {f.base} != integration base {q}")
-        with ctx.workdps(10):
-            return lattice_sum(lambda j, t: f.value(j) * t, f.base_mp(), ctx,
-                               n=f.truncation)
-    if q is None:
-        raise ValueError("analytic integrands require the base q")
+def qintegral_01(f: Callable, ctx: PrecisionContext, q: Numeric) -> mpf:
+    """Thomae q-integral over [0,1] of an analytic integrand f, summed over
+    the open-ended lattice with the truncation policy of the context."""
     with ctx.workdps(10):
         return lattice_sum(lambda j, t: f(t) * t, _as_mp(q), ctx, 9)

@@ -25,12 +25,11 @@ independent.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 from mpmath import mp, mpf
 
-from .precision import (EXTRA_GUARD, MAX_TERMS, DivergenceError, EvalResult,
+from .precision import (EXTRA_GUARD, DivergenceError, EvalResult,
                         PrecisionContext, adaptive_sum, certified_sign)
 from .qcore import Numeric, QParams, _as_mp, qpochhammer_infinite
 
@@ -42,7 +41,6 @@ _GUARD_BITS = 16
 _BUCKET_BITS = 64
 # ratios appended per extension of a table
 _RATIO_CHUNK = 32
-_LOG2_10 = math.log2(10)
 
 # (q or None, base or None, nu) -> _Series, oldest first
 _SERIES: dict = {}
@@ -179,31 +177,23 @@ class _Series:
         return hit
 
     def prefactor(self, ctx: PrecisionContext) -> mpf:
-        """(p^(nu+1);p)_inf / (p;p)_inf to 10^-(ctx.digits + 10) or better.
+        """(p^(nu+1);p)_inf / (p;p)_inf at its target, ctx.digits + 10.
 
-        The stored value serves every request whose target it meets.  A new
-        value is computed for the target rounded up to a multiple of
-        _BUCKET_BITS bits, unless that would take more than MAX_TERMS
-        factors (q near 1); then for the exact target.
+        Each product is truncated at 10^-(digits+10), so the ratio is good to
+        relative 10^-(digits+10)/(1-p) (qpochhammer_infinite); wherever it
+        fits in MAX_TERMS factors 1/(1-p) is at most about 2,200, well
+        inside the 10^-(digits+5) at which a value pass is accepted.  The
+        stored value serves every request whose target it meets.
         """
         target = ctx.digits + 10
         if self.pref[0] >= target:
             return self.pref[1]
-        bits = _round_up(math.ceil(target * _LOG2_10))
-        digits = max(target, int(bits / _LOG2_10))
-        with mp.workdps(30):
-            log_p = float(mp.log10(self.p()))
-            power = min(1.0, float(_as_mp(self.nu)) + 1)
-        # factors of the longer product, (a;p)_inf with a = p^min(1, nu+1)
-        if (digits + power * log_p) / -log_p >= MAX_TERMS:
-            digits = target
-        with mp.workdps(digits):
+        with ctx.workdps(10):
             pv = self.p()
-            pctx = PrecisionContext(digits - 10)
             value = (qpochhammer_infinite(pv ** (_as_mp(self.nu) + 1), pv,
-                                          pctx)
-                     / qpochhammer_infinite(pv, pv, pctx))
-        self.pref = (digits, value)
+                                          ctx)
+                     / qpochhammer_infinite(pv, pv, ctx))
+        self.pref = (target, value)
         return value
 
 

@@ -181,8 +181,6 @@ def bracket_zero(params: QParams, k: int, ctx: PrecisionContext,
                                         max_brackets=1)
             if found:
                 return found[0][0], found[0][1]
-            if prev_zero is None:
-                start = start * start   # push the scan start toward 0
             top = top / q               # raise the ceiling
         raise ScanExhaustedError(
             f"no sign change of J_nu(.;q^2) in ({mp.nstr(start, 8)}, "

@@ -12,8 +12,10 @@ from qfb import LatticeFunction
 from qfb.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# f(t) = t sampled on the lattice of base 1/2
-T_ON_HALVES = LatticeFunction(tuple(mpf(2) ** -j for j in range(30)), "0.5")
+# f(t) = t sampled on the lattice of base 1/2, as a lattice JSON file; the
+# samples 2^-j are binary floats, so they parse back exactly
+T_ON_HALVES = json.dumps({"q": "0.5", "N": 30,
+                          "values": [2.0 ** -j for j in range(30)]})
 
 
 def run(argv, capsys):
@@ -96,6 +98,20 @@ class TestEval:
         assert err == ("qfb eval: error: no certified value to 30 digits "
                        "within 2030 digits\n")
 
+    def test_product_cap_exhausted_exits_2(self, capsys):
+        # at q = 0.99999 the prefactor's product needs more than MAX_TERMS
+        # factors
+        code, out, err = run(["eval", "--q", "0.99999", "--nu", "0", "--z",
+                              "1e-30", "--digits", "40"], capsys)
+        assert code == 2 and out == ""
+        assert err == "qfb eval: error: q-Pochhammer product cap exhausted\n"
+
+    def test_digits_below_30_exits_2(self, capsys):
+        code, out, err = run(["eval", "--q", "0.5", "--nu", "0", "--z", "1",
+                              "--digits", "29"], capsys)
+        assert code == 2 and out == ""
+        assert err == "qfb eval: error: digits must be >= 30, got 29\n"
+
     def test_base_below_float_range(self, capsys):
         code, out, _ = run(["eval", "--q", "1e-200", "--nu", "0.5", "--z",
                             "3", "--digits", "30"], capsys)
@@ -122,6 +138,16 @@ class TestZeros:
                             "--kmax", "20", "--digits", "40"], capsys)
         assert code == 2
         assert "allow-large-k" in err
+
+    def test_refinement_that_does_not_converge_exits_2(self, capsys):
+        # at 40 digits the gaps between the q = 0.3 zeros outrun what the
+        # refinement resolves before k = 12; the k it stops at is not pinned
+        code, out, err = run(["zeros", "--q", "0.3", "--nu", "2.5",
+                              "--kmax", "12", "--digits", "40"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "qfb zeros: error: refinement did not converge at k=")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("nu", ["inf", "nan"])
     def test_non_finite_nu_exits_2(self, nu, capsys):
@@ -231,6 +257,17 @@ class TestVerify:
         assert code == 2
         assert message in err and "Traceback" not in err
 
+    def test_divergent_norm_fails_the_hypothesis(self, capsys):
+        # t^(1/2) / t is not in L_q^2[0,1]: its weighted norm diverges
+        code, out, err = run(["verify", "--q", "0.5", "--nu", "0",
+                              "--kmax", "2", "--digits", "30",
+                              "--check", "riemann-lebesgue", "--f", "1/t",
+                              "--format", "json"], capsys)
+        assert code == 1 and "Traceback" not in err
+        details = json.loads(out)["results"][0]["details"]
+        assert details["1/t"]["hypothesis_ok"] is False
+        assert details["t^(-1/4)"]["hypothesis_ok"] is True
+
     def test_mode_beyond_kmax_exits_2(self, capsys):
         code, _, err = run(["verify", "--q", "0.5", "--nu", "0",
                             "--kmax", "3", "--digits", "40",
@@ -241,9 +278,8 @@ class TestVerify:
 
     def test_lattice_function_on_another_base_exits_2(self, tmp_path,
                                                       capsys):
-        lf = T_ON_HALVES
         path = tmp_path / "f.json"
-        path.write_text(lf.to_json(), encoding="utf-8")
+        path.write_text(T_ON_HALVES, encoding="utf-8")
         code, _, err = run(["verify", "--q", "0.8", "--nu", "0",
                             "--kmax", "3", "--digits", "40",
                             "--check", "riemann-lebesgue", "--f", str(path)],
@@ -294,23 +330,21 @@ class TestExpand:
         assert "zero table" in err
 
     def test_lattice_json_round_trip(self, tmp_path, capsys):
-        lf = T_ON_HALVES
         path = tmp_path / "f.json"
-        path.write_text(lf.to_json(), encoding="utf-8")
+        path.write_text(T_ON_HALVES, encoding="utf-8")
         code, out, _ = run(["expand", "--q", "0.5", "--nu", "0", "--K", "2",
                             "--f", str(path), "--digits", "40"], capsys)
         assert code == 0
-        # the file re-parses to an identical lattice function
+        # the file re-parses to t on the lattice, sample for sample
         back = LatticeFunction.from_json(path.read_text(encoding="utf-8"))
+        assert back.truncation == 30
         with mp.workdps(50):
-            for j in range(lf.truncation):
-                assert abs(back.value(j) - lf.value(j)) < mpf(10) ** -35
+            assert all(back.value(j) == mpf(2) ** -j for j in range(30))
 
     def test_lattice_function_on_another_base_exits_2(self, tmp_path,
                                                       capsys):
-        lf = T_ON_HALVES
         path = tmp_path / "f.json"
-        path.write_text(lf.to_json(), encoding="utf-8")
+        path.write_text(T_ON_HALVES, encoding="utf-8")
         code, _, err = run(["expand", "--q", "0.8", "--nu", "0", "--K", "2",
                             "--f", str(path), "--digits", "40"], capsys)
         assert code == 2
@@ -345,6 +379,19 @@ class TestExpand:
         assert code == 2
         assert err.startswith("qfb expand: error: lattice JSON ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload, message", [
+        ('{"q": "0.5", "values": []}',
+         "LatticeFunction needs at least one sample"),
+        ('{"q": "1.5", "values": ["1"]}', "base must be in (0,1), got 1.5")])
+    def test_invalid_lattice_function_exits_2(self, payload, message,
+                                              tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(payload, encoding="utf-8")
+        code, out, err = run(["expand", "--q", "0.5", "--nu", "0", "--K",
+                              "2", "--digits", "40", "--f", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"qfb expand: error: {message}\n"
 
     def test_format_not_offered(self, capsys):
         # expand writes JSON only

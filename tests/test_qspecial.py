@@ -375,14 +375,15 @@ def direct_prefactor(p, nu, ctx):
 
 class TestPrefactorMemo:
     def test_buckets_target_and_serves_lower_targets(self, monkeypatch):
+        # the prefactor is computed at its target, digits + 10, and the
+        # stored value serves every lower target
         series = qspecial._Series("0.3", None, "1.5")
 
         def prefactor(digits):
             return series.prefactor(PrecisionContext(digits))
 
-        # target 10^-70 is 233 bits, bucketed to 256 bits = 77 digits
         got = prefactor(60)
-        assert series.pref[0] == 77
+        assert series.pref[0] == 70
         with mp.workdps(90):
             want = direct_prefactor(mpf("0.09"), "1.5", PrecisionContext(60))
             assert abs(got - want) <= abs(want) * mpf(10) ** -65
@@ -393,15 +394,15 @@ class TestPrefactorMemo:
         with monkeypatch.context() as patch:
             patch.setattr(qspecial, "qpochhammer_infinite", no_product)
             assert prefactor(40) is got
-        got = prefactor(100)                      # 110 digits -> 384 bits
-        assert series.pref[0] == 115
+        got = prefactor(100)
+        assert series.pref[0] == 110
         with mp.workdps(130):
             want = direct_prefactor(mpf("0.09"), "1.5", PrecisionContext(100))
             assert abs(got - want) <= abs(want) * mpf(10) ** -105
 
     def test_exact_target_where_bucket_passes_factor_cap(self):
-        # at p = 0.999 the bucketed 10^-96 would take ~221,000 factors, past
-        # MAX_TERMS; the exact 10^-78 takes ~180,000
+        # near p = 1 the product is long: at p = 0.999 the target 10^-78
+        # takes ~180,000 factors, inside MAX_TERMS
         series = qspecial._Series(None, "0.999", "0.5")
         ctx = PrecisionContext(68)
         got = series.prefactor(ctx)
